@@ -123,7 +123,7 @@ def _run_convex_init(xs, ys, fw_size, fw_iters, fw_gap_tol):
 
     m = min(fw_size, xs.shape[0], ys.shape[0])
     grams = build_grams(xs, ys, m)
-    cfg = FwConfig(max_iters=fw_iters, gap_tol=fw_gap_tol, subset_size=m)
+    cfg = FwConfig(max_iters=fw_iters, gap_tol=fw_gap_tol)
     plan, trace = fw_solve(grams, cfg)
     q0 = extract_q0(xs[:m], ys[:m], plan)
     return q0, plan, trace
@@ -133,14 +133,14 @@ def cmd_init(args, argv) -> int:
     from .data_io import save_map
 
     timings = {}
-    t0 = time.time()
+    t0 = time.perf_counter()
     src, tgt, xs, ys = _load_pair(args)
-    timings["load"] = time.time() - t0
-    t0 = time.time()
+    timings["load"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
     q0, plan, trace = _run_convex_init(xs, ys, args.fw_size, args.fw_iters,
                                        args.fw_gap_tol)
-    timings["solve"] = time.time() - t0
-    t0 = time.time()
+    timings["solve"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
     save_map(args.out, q0)
     trace_path = args.out + ".fw_trace.csv"
     with open(trace_path, "w", encoding="utf-8", newline="") as fh:
@@ -148,7 +148,7 @@ def cmd_init(args, argv) -> int:
         w.writerow(["iter", "objective"])
         for i, v in enumerate(trace):
             w.writerow([i, "%.17g" % v])
-    timings["write"] = time.time() - t0
+    timings["write"] = time.perf_counter() - t0
     outputs = [args.out, trace_path]
     _write_manifest(args, argv, timings, outputs, args.out + ".manifest.json")
     print(f"wrote {args.out} (fw iterations {plan.iterations}, "
@@ -179,9 +179,9 @@ def cmd_align(args, argv) -> int:
     from .sinkhorn import SinkhornConfig
 
     timings = {}
-    t0 = time.time()
+    t0 = time.perf_counter()
     src, tgt, xs, ys = _load_pair(args)
-    timings["load"] = time.time() - t0
+    timings["load"] = time.perf_counter() - t0
     outputs = [args.out]
 
     if args.supervised:
@@ -196,17 +196,17 @@ def cmd_align(args, argv) -> int:
                 rows_t.append(tpos[b])
         if not rows_s:
             raise EmptyResultError("no lexicon pair is inside both vocabularies")
-        t0 = time.time()
+        t0 = time.perf_counter()
         q = fit_orthogonal(xs[rows_s], ys[rows_t])
-        timings["solve"] = time.time() - t0
+        timings["solve"] = time.perf_counter() - t0
         save_map(args.out, q)
         _write_manifest(args, argv, timings, outputs, args.out + ".manifest.json")
         print(f"wrote {args.out} (supervised fit on {len(rows_s)} pairs)")
         return EXIT_OK
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     q0 = _initial_map(args, xs, ys)
-    timings["init"] = time.time() - t0
+    timings["init"] = time.perf_counter() - t0
     sink = None
     if args.sinkhorn_eps is not None:
         sink = SinkhornConfig(epsilon=args.sinkhorn_eps)
@@ -220,10 +220,10 @@ def cmd_align(args, argv) -> int:
         sample_pool=args.sample_pool,
         rng_seed=args.seed,
     )
-    t0 = time.time()
+    t0 = time.perf_counter()
     state = align(xs, ys, q0, cfg)
-    timings["align"] = time.time() - t0
-    t0 = time.time()
+    timings["align"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
     save_map(args.out, state.q)
     if args.loss_csv:
         with open(args.loss_csv, "w", encoding="utf-8", newline="") as fh:
@@ -232,7 +232,7 @@ def cmd_align(args, argv) -> int:
             for it, loss in state.loss_history:
                 w.writerow([it, "%.17g" % loss])
         outputs.append(args.loss_csv)
-    timings["write"] = time.time() - t0
+    timings["write"] = time.perf_counter() - t0
     _write_manifest(args, argv, timings, outputs, args.out + ".manifest.json")
     final_loss = state.loss_history[-1][1]
     print(f"wrote {args.out} ({state.iteration} iterations, "
@@ -246,17 +246,17 @@ def cmd_refine(args, argv) -> int:
     from .retrieval import RetrievalConfig
 
     timings = {}
-    t0 = time.time()
+    t0 = time.perf_counter()
     src, tgt, xs, ys = _load_pair(args)
     q = load_map(args.map)
-    timings["load"] = time.time() - t0
+    timings["load"] = time.perf_counter() - t0
     cfg = RetrievalConfig(
         kind="csls", csls_k=args.csls_k, candidate_cap=args.dict_cap
     )
-    t0 = time.time()
+    t0 = time.perf_counter()
     result = refine(xs, ys, q, epochs=args.epochs, cfg=cfg)
-    timings["refine"] = time.time() - t0
-    t0 = time.time()
+    timings["refine"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
     save_map(args.out, result.q)
     log_path = args.out + ".epochs.csv"
     with open(log_path, "w", encoding="utf-8", newline="") as fh:
@@ -264,7 +264,7 @@ def cmd_refine(args, argv) -> int:
         w.writerow(["epoch", "dictionary_size"])
         for i, s in enumerate(result.dictionary_sizes, start=1):
             w.writerow([i, s])
-    timings["write"] = time.time() - t0
+    timings["write"] = time.perf_counter() - t0
     outputs = [args.out, log_path]
     _write_manifest(args, argv, timings, outputs, args.out + ".manifest.json")
     print(f"wrote {args.out} (status {result.status}, "
@@ -277,15 +277,15 @@ def cmd_translate(args, argv) -> int:
     from .retrieval import retrieve
 
     timings = {}
-    t0 = time.time()
+    t0 = time.perf_counter()
     src, tgt, xs, ys = _load_pair(args)
     q = load_map(args.map)
-    timings["load"] = time.time() - t0
+    timings["load"] = time.perf_counter() - t0
     n_q = src.size if args.max_queries is None else min(args.max_queries, src.size)
-    t0 = time.time()
+    t0 = time.perf_counter()
     table = retrieve(xs[:n_q] @ q.q, ys, _retrieval_config(args), topk=args.topk)
-    timings["retrieve"] = time.time() - t0
-    t0 = time.time()
+    timings["retrieve"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
     with open(args.out, "w", encoding="utf-8") as fh:
         for i in range(n_q):
             word = src.labels[i]
@@ -295,7 +295,7 @@ def cmd_translate(args, argv) -> int:
                     f"{word}\t{rank + 1}\t{tgt.labels[j]}\t"
                     f"{'%.17g' % table.scores[i, rank]}\n"
                 )
-    timings["write"] = time.time() - t0
+    timings["write"] = time.perf_counter() - t0
     _write_manifest(args, argv, timings, [args.out], args.out + ".manifest.json")
     print(f"wrote {args.out} ({n_q} queries, top {args.topk})")
     return EXIT_OK
@@ -306,11 +306,11 @@ def cmd_eval(args, argv) -> int:
     from .evaluation import evaluate_bli
 
     timings = {}
-    t0 = time.time()
+    t0 = time.perf_counter()
     src, tgt, xs, ys = _load_pair(args)
     q = load_map(args.map)
     lex = load_lexicon(args.lexicon)
-    timings["load"] = time.time() - t0
+    timings["load"] = time.perf_counter() - t0
     ks = tuple(int(k) for k in args.ks.split(","))
     # Evaluation scores preprocessed vectors; wrap them back into sets
     # so word lookup still goes through the labels.
@@ -318,9 +318,9 @@ def cmd_eval(args, argv) -> int:
 
     src_p = EmbeddingSet(labels=src.labels, matrix=xs)
     tgt_p = EmbeddingSet(labels=tgt.labels, matrix=ys)
-    t0 = time.time()
+    t0 = time.perf_counter()
     report = evaluate_bli(src_p, tgt_p, q, lex, _retrieval_config(args), ks=ks)
-    timings["evaluate"] = time.time() - t0
+    timings["evaluate"] = time.perf_counter() - t0
     doc = report.as_dict()
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -336,10 +336,10 @@ def cmd_synth(args, argv) -> int:
     from .data_io import save_map, save_vec, synth_generate
 
     timings = {}
-    t0 = time.time()
+    t0 = time.perf_counter()
     inst = synth_generate(args.n, args.d, args.sigma, args.seed)
-    timings["generate"] = time.time() - t0
-    t0 = time.time()
+    timings["generate"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
     paths = {
         "src": args.out + ".src.vec",
         "tgt": args.out + ".tgt.vec",
@@ -352,7 +352,7 @@ def cmd_synth(args, argv) -> int:
     with open(paths["lex"], "w", encoding="utf-8") as fh:
         for a, b in inst.gold_pairs():
             fh.write(f"{a} {b}\n")
-    timings["write"] = time.time() - t0
+    timings["write"] = time.perf_counter() - t0
     outputs = sorted(paths.values())
     _write_manifest(args, argv, timings, outputs, args.out + ".manifest.json")
     print(f"wrote {', '.join(outputs)}")
@@ -366,15 +366,15 @@ def cmd_plot(args, argv) -> int:
     import numpy as np
 
     timings = {}
-    t0 = time.time()
+    t0 = time.perf_counter()
     src, tgt, xs, ys = _load_pair(args)
     q = load_map(args.map)
-    timings["load"] = time.time() - t0
-    t0 = time.time()
+    timings["load"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
     stacked = np.vstack([xs @ q.q, ys])
     coords = pca_project(stacked, 2)
-    timings["project"] = time.time() - t0
-    t0 = time.time()
+    timings["project"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["label", "set", "pc1", "pc2"])
@@ -382,7 +382,7 @@ def cmd_plot(args, argv) -> int:
         sets = ["src"] * src.size + ["tgt"] * tgt.size
         for lab, side, row in zip(labels, sets, coords):
             w.writerow([lab, side, "%.17g" % row[0], "%.17g" % row[1]])
-    timings["write"] = time.time() - t0
+    timings["write"] = time.perf_counter() - t0
     _write_manifest(args, argv, timings, [args.out], args.out + ".manifest.json")
     print(f"wrote {args.out} ({src.size + tgt.size} points)")
     return EXIT_OK
@@ -397,9 +397,9 @@ def cmd_bench_batch_size(args, argv) -> int:
 
     sizes = [int(s) for s in args.sizes.split(",")]
     timings = {}
-    t0 = time.time()
+    t0 = time.perf_counter()
     inst = synth_generate(args.n, args.d, args.sigma, args.seed)
-    timings["generate"] = time.time() - t0
+    timings["generate"] = time.perf_counter() - t0
     rows = []
     for b in sizes:
         for s in range(args.seeds):
@@ -417,9 +417,9 @@ def cmd_bench_batch_size(args, argv) -> int:
                 matcher=args.matcher,
                 rng_seed=seed,
             )
-            t0 = time.time()
+            t0 = time.perf_counter()
             state = align(inst.x.matrix, inst.y.matrix, q0, cfg)
-            dt = time.time() - t0
+            dt = time.perf_counter() - t0
             acc = matching_accuracy(inst, state.q, "nn")
             rows.append((b, seed, acc))
             timings[f"align_b{b}_seed{seed}"] = dt

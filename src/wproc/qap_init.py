@@ -76,15 +76,12 @@ class FwConfig:
 
     max_iters: int = 300
     gap_tol: float | None = None
-    subset_size: int = 2500
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise InvalidArgumentError("max_iters must be at least 1")
         if self.gap_tol is not None and not self.gap_tol > 0.0:
             raise InvalidArgumentError("gap_tol must be positive")
-        if self.subset_size < 2:
-            raise InvalidArgumentError("subset_size must be at least 2")
 
 
 def build_grams(x, y, m: int) -> GramPair:

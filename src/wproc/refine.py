@@ -16,7 +16,7 @@ import numpy as np
 from .errors import EmptyResultError, InvalidArgumentError
 from .linalg import OrthogonalMap, as_matrix
 from .procrustes import fit_orthogonal
-from .retrieval import RetrievalConfig, _blocks, _top_k_row_means, _unit_rows
+from .retrieval import KIND_CSLS, RetrievalConfig, _scored_blocks
 
 __all__ = ["SeedDictionary", "RefineResult", "mutual_nn_dictionary", "refine"]
 
@@ -75,37 +75,27 @@ def mutual_nn_dictionary(
 ) -> SeedDictionary:
     """Pairs (i, j) that are each other's best match under CSLS.
 
-    Scored over the first candidate_cap rows of each set.  The CSLS
-    matrix is symmetric in its two penalty terms, so the backward
-    direction is its transpose and one matrix serves both argmaxes.
+    Scored over the first candidate_cap rows of each set, always with
+    CSLS whatever cfg.kind says, and with csls_k clamped to both set
+    sizes.  The CSLS matrix is symmetric in its two penalty terms, so
+    the backward direction is its transpose and one matrix serves both
+    argmaxes.
     """
     if cfg is None:
         cfg = default_refine_config()
-    x_mapped = as_matrix(x_mapped, "mapped source")
-    y = as_matrix(y, "target")
-    xs = _unit_rows(x_mapped[: cfg.candidate_cap], "source")
-    ys = _unit_rows(y[: cfg.candidate_cap], "target")
+    xs = as_matrix(x_mapped, "mapped source")[: cfg.candidate_cap]
+    ys = as_matrix(y, "target")[: cfg.candidate_cap]
     ns, nt = xs.shape[0], ys.shape[0]
     k = min(cfg.csls_k, ns, nt)
 
-    # Pass 1: per-target top-k cosine buffer for the column penalty.
-    buf = np.full((0, nt), -np.inf)
-    for lo, hi in _blocks(ns, cfg.block_size):
-        cos = xs[lo:hi] @ ys.T
-        buf = np.concatenate([buf, cos], axis=0)
-        if buf.shape[0] > k:
-            buf = -np.partition(-buf, k - 1, axis=0)[:k]
-    r_q = buf.mean(axis=0)
-
-    # Pass 2: row argmax directly, column argmax as a running best.
-    # Blocks ascend and argmax takes the first maximum, so ties resolve
-    # to the lowest index in both directions.
+    # Row argmax directly, column argmax as a running best.  Blocks
+    # ascend and argmax takes the first maximum, so ties resolve to the
+    # lowest index in both directions.
     fwd = np.empty(ns, dtype=np.int64)
     col_best = np.full(nt, -np.inf)
     bwd = np.zeros(nt, dtype=np.int64)
-    for lo, hi in _blocks(ns, cfg.block_size):
-        cos = xs[lo:hi] @ ys.T
-        s = 2.0 * cos - _top_k_row_means(cos, k)[:, None] - r_q[None, :]
+    for lo, hi, s in _scored_blocks(xs, ys, KIND_CSLS, k, cfg.isf_beta,
+                                    cfg.block_size, ("source", "target")):
         fwd[lo:hi] = np.argmax(s, axis=1)
         blk_best = s.max(axis=0)
         update = blk_best > col_best

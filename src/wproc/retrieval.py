@@ -106,14 +106,20 @@ def _unit_rows(x: np.ndarray, side: str) -> np.ndarray:
     return x / norms[:, None]
 
 
-def cosine_scores(queries, targets) -> np.ndarray:
-    """Pairwise cosine similarities, entry (i, j) for query i, target j."""
+def _as_pair(queries, targets):
+    """Queries and targets as matrices of equal width."""
     q = as_matrix(queries, "queries")
     t = as_matrix(targets, "targets")
     if q.shape[1] != t.shape[1]:
         raise InvalidArgumentError(
             f"dimension mismatch: queries d={q.shape[1]}, targets d={t.shape[1]}"
         )
+    return q, t
+
+
+def cosine_scores(queries, targets) -> np.ndarray:
+    """Pairwise cosine similarities, entry (i, j) for query i, target j."""
+    q, t = _as_pair(queries, targets)
     return _unit_rows(q, "query") @ _unit_rows(t, "target").T
 
 
@@ -163,14 +169,9 @@ def isf_scores(queries, targets, beta: float) -> np.ndarray:
     close to many queries yields small individual entries.
     Requires unit-normalized inputs.
     """
-    q = as_matrix(queries, "queries")
-    t = as_matrix(targets, "targets")
+    q, t = _as_pair(queries, targets)
     if not beta > 0.0:
         raise InvalidArgumentError("beta must be positive")
-    if q.shape[1] != t.shape[1]:
-        raise InvalidArgumentError(
-            f"dimension mismatch: queries d={q.shape[1]}, targets d={t.shape[1]}"
-        )
     _check_unit(q, "query")
     _check_unit(t, "target")
     z = beta * (q @ t.T)
@@ -188,9 +189,52 @@ def _select_top(scores: np.ndarray, topk: int):
     return order, np.take_along_axis(scores, order, axis=1)
 
 
-def _blocks(n: int, size: int):
-    for start in range(0, n, size):
-        yield start, min(start + size, n)
+def _cos_blocks(qn: np.ndarray, tn: np.ndarray, size: int):
+    """Yield (lo, hi, cosines of query rows lo:hi against every target)."""
+    for lo in range(0, qn.shape[0], size):
+        hi = min(lo + size, qn.shape[0])
+        yield lo, hi, qn[lo:hi] @ tn.T
+
+
+def _scored_blocks(q, t, kind: str, k: int, beta: float, block_size: int,
+                   sides=("query", "target")):
+    """Yield (lo, hi, scores of query rows lo:hi against every target).
+
+    The one blocked scorer behind retrieval and dictionary induction.
+    CSLS and ISF first take one pass over the query blocks to assemble
+    their per-target statistics: the k best cosines of each target, or
+    its log-sum-exp over all queries.  k must not exceed either set
+    size under CSLS.  sides names the two sets in input errors.
+    """
+    qn = _unit_rows(q, sides[0])
+    tn = _unit_rows(t, sides[1])
+    if kind == KIND_CSLS:
+        # Running per-target top-k cosine buffer across query blocks.
+        buf = np.full((0, tn.shape[0]), -np.inf)
+        for _, _, cos in _cos_blocks(qn, tn, block_size):
+            buf = np.concatenate([buf, cos], axis=0)
+            if buf.shape[0] > k:
+                buf = -np.partition(-buf, k - 1, axis=0)[:k]
+        r_q = buf.mean(axis=0)
+    elif kind == KIND_ISF:
+        # Running per-target log-sum-exp across query blocks.
+        _check_unit(q, sides[0])
+        _check_unit(t, sides[1])
+        col_lse = np.full(tn.shape[0], -np.inf)
+        for _, _, cos in _cos_blocks(qn, tn, block_size):
+            z = beta * cos
+            m = np.maximum(col_lse, z.max(axis=0))
+            col_lse = (
+                np.log(np.exp(col_lse - m) + np.exp(z - m).sum(axis=0)) + m
+            )
+
+    for lo, hi, cos in _cos_blocks(qn, tn, block_size):
+        if kind == KIND_NN:
+            yield lo, hi, cos
+        elif kind == KIND_CSLS:
+            yield lo, hi, 2.0 * cos - _top_k_row_means(cos, k)[:, None] - r_q[None, :]
+        else:
+            yield lo, hi, np.exp(beta * cos - col_lse[None, :])
 
 
 def retrieve(queries, targets, cfg: RetrievalConfig | None = None, topk: int = 1) -> NeighborTable:
@@ -202,12 +246,8 @@ def retrieve(queries, targets, cfg: RetrievalConfig | None = None, topk: int = 1
     """
     if cfg is None:
         cfg = RetrievalConfig()
-    q = as_matrix(queries, "queries")
-    t = as_matrix(targets, "targets")[: cfg.candidate_cap]
-    if q.shape[1] != t.shape[1]:
-        raise InvalidArgumentError(
-            f"dimension mismatch: queries d={q.shape[1]}, targets d={t.shape[1]}"
-        )
+    q, t = _as_pair(queries, targets)
+    t = t[: cfg.candidate_cap]
     nq, nt = q.shape[0], t.shape[0]
     if topk < 1 or topk > nt:
         raise InvalidArgumentError(f"topk={topk} out of range for {nt} targets")
@@ -215,45 +255,9 @@ def retrieve(queries, targets, cfg: RetrievalConfig | None = None, topk: int = 1
         raise InvalidArgumentError(
             f"csls_k={cfg.csls_k} exceeds set sizes (queries {nq}, targets {nt})"
         )
-    qn = _unit_rows(q, "query")
-    tn = _unit_rows(t, "target")
-
-    r_q = None
-    col_lse = None
-    if cfg.kind == KIND_CSLS:
-        # Running per-target top-k cosine buffer across query blocks.
-        k = cfg.csls_k
-        buf = np.full((0, nt), -np.inf)
-        for lo, hi in _blocks(nq, cfg.block_size):
-            cos = qn[lo:hi] @ tn.T
-            buf = np.concatenate([buf, cos], axis=0)
-            if buf.shape[0] > k:
-                buf = -np.partition(-buf, k - 1, axis=0)[:k]
-        r_q = buf.mean(axis=0)
-    elif cfg.kind == KIND_ISF:
-        # Running per-target log-sum-exp across query blocks.
-        _check_unit(q, "query")
-        _check_unit(t, "target")
-        col_lse = np.full(nt, -np.inf)
-        for lo, hi in _blocks(nq, cfg.block_size):
-            z = cfg.isf_beta * (qn[lo:hi] @ tn.T)
-            m = np.maximum(col_lse, z.max(axis=0))
-            col_lse = (
-                np.log(np.exp(col_lse - m) + np.exp(z - m).sum(axis=0)) + m
-            )
-
     out_idx = np.empty((nq, topk), dtype=np.int64)
     out_sc = np.empty((nq, topk))
-    for lo, hi in _blocks(nq, cfg.block_size):
-        cos = qn[lo:hi] @ tn.T
-        if cfg.kind == KIND_NN:
-            s = cos
-        elif cfg.kind == KIND_CSLS:
-            r_t = _top_k_row_means(cos, cfg.csls_k)
-            s = 2.0 * cos - r_t[:, None] - r_q[None, :]
-        else:
-            s = np.exp(cfg.isf_beta * cos - col_lse[None, :])
-        idx, sc = _select_top(s, topk)
-        out_idx[lo:hi] = idx
-        out_sc[lo:hi] = sc
+    for lo, hi, s in _scored_blocks(q, t, cfg.kind, cfg.csls_k, cfg.isf_beta,
+                                    cfg.block_size):
+        out_idx[lo:hi], out_sc[lo:hi] = _select_top(s, topk)
     return NeighborTable(indices=out_idx, scores=out_sc)

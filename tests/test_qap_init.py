@@ -163,5 +163,3 @@ def test_config_validation():
         FwConfig(max_iters=0)
     with pytest.raises(InvalidArgumentError):
         FwConfig(gap_tol=-1.0)
-    with pytest.raises(InvalidArgumentError):
-        FwConfig(subset_size=1)

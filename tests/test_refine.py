@@ -7,7 +7,7 @@ import wproc.refine as refine_mod
 from wproc.errors import EmptyResultError, InvalidArgumentError
 from wproc.linalg import OrthogonalMap, project_orthogonal
 from wproc.refine import RefineResult, SeedDictionary, mutual_nn_dictionary, refine
-from wproc.retrieval import RetrievalConfig, csls_scores
+from wproc.retrieval import RetrievalConfig, cosine_scores, csls_scores
 
 
 def random_orthogonal(rng, d):
@@ -19,11 +19,14 @@ def unit(x):
     return x / np.linalg.norm(x, axis=1)[:, None]
 
 
-def naive_mutual_pairs(xs, ys, k):
-    s = csls_scores(xs, ys, k)
+def mutual_pairs(s):
     fwd = s.argmax(axis=1)
     bwd = s.argmax(axis=0)
     return [(i, int(fwd[i])) for i in range(len(fwd)) if bwd[fwd[i]] == i]
+
+
+def naive_mutual_pairs(xs, ys, k):
+    return mutual_pairs(csls_scores(xs, ys, k))
 
 
 def test_seed_dictionary_validation():
@@ -69,6 +72,40 @@ def test_candidate_cap_restricts_both_sides():
     assert d.sources.max() < 12
     assert d.targets.max() < 12
     assert sorted(d.pairs) == sorted(naive_mutual_pairs(xs[:12], ys[:12], 3))
+
+
+def test_csls_k_is_clamped_to_set_sizes():
+    # Unlike retrieve, dictionary induction clamps csls_k to the smaller
+    # set instead of raising.  On this seed the unclamped row penalty
+    # (mean over all 8 targets) loses a pair.
+    rng = np.random.default_rng(3)
+    xs = unit(rng.standard_normal((6, 4)))
+    ys = unit(rng.standard_normal((8, 4)))
+    d = mutual_nn_dictionary(xs, ys, RetrievalConfig(csls_k=10, block_size=4))
+    assert sorted(d.pairs) == sorted(naive_mutual_pairs(xs, ys, 6))
+
+
+def test_duplicate_sources_across_blocks_pair_lowest_index():
+    # Sources 1 and 4 are the same point and sit in different blocks;
+    # the target they share must pair with source 1.
+    rng = np.random.default_rng(8)
+    base = unit(rng.standard_normal((5, 4)))
+    xs = base[[0, 1, 2, 3, 1, 4]]
+    d = mutual_nn_dictionary(xs, base, RetrievalConfig(csls_k=2, block_size=2))
+    assert (1, 1) in d.pairs
+    assert 4 not in d.sources.tolist()
+    assert sorted(d.pairs) == sorted(naive_mutual_pairs(xs, base, 2))
+
+
+def test_dictionary_uses_csls_whatever_the_kind():
+    rng = np.random.default_rng(0)
+    xs = unit(rng.standard_normal((30, 4)))
+    ys = unit(rng.standard_normal((25, 4)))
+    want = sorted(naive_mutual_pairs(xs, ys, 3))
+    assert want != sorted(mutual_pairs(cosine_scores(xs, ys)))
+    for kind in ("nn", "isf"):
+        cfg = RetrievalConfig(kind=kind, csls_k=3, block_size=7)
+        assert sorted(mutual_nn_dictionary(xs, ys, cfg).pairs) == want
 
 
 def test_refine_fixed_point_on_aligned_sets():

@@ -165,6 +165,20 @@ def test_input_validation():
         retrieve(q, t, RetrievalConfig(kind="nn"), topk=5)
 
 
+def test_csls_k_beyond_either_set_raises():
+    # retrieve refuses csls_k larger than either set; the refinement
+    # dictionary clamps it instead (see test_refine.py).
+    rng = np.random.default_rng(7)
+    q = unit(rng.standard_normal((6, 4)))
+    t = unit(rng.standard_normal((8, 4)))
+    retrieve(q, t, RetrievalConfig(kind="csls", csls_k=6))
+    for k in (7, 9):
+        with pytest.raises(InvalidArgumentError):
+            retrieve(q, t, RetrievalConfig(kind="csls", csls_k=k))
+        with pytest.raises(InvalidArgumentError):
+            retrieve(t, q, RetrievalConfig(kind="csls", csls_k=k))
+
+
 def test_config_validation():
     with pytest.raises(InvalidArgumentError):
         RetrievalConfig(kind="dot")
