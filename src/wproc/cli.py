@@ -1,10 +1,12 @@
 """Command line front end.
 
 Subcommands compose the pipeline through files: embeddings in, maps and
-reports out.  Every run writes a JSON manifest next to its primary
-output recording the exact flags, seed, library versions, and phase
-timings; `replay` re-executes a manifest's argument vector, which
-reproduces the outputs byte for byte in single-threaded mode.
+reports out.  Every command that returns, whatever its exit code, then
+gets a JSON manifest next to its primary output recording the exact
+flags, seed, library versions, phase timings and outputs; a command
+that raises gets none.  `replay` re-executes a manifest's argument
+vector, which reproduces the outputs byte for byte in single-threaded
+mode.
 
 Heavy imports happen inside command bodies so the thread cap from
 --threads (or WPROC_THREADS) lands in the environment before the
@@ -17,11 +19,23 @@ degeneracy, 5 empty result, 6 I/O.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
 import sys
 import time
+
+from .errors import (
+    ConfigError,
+    DegenerateFitError,
+    DegenerateProjectionError,
+    EmptyResultError,
+    IntegrityError,
+    InvalidArgumentError,
+    InvalidInputError,
+    ParseError,
+)
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -29,6 +43,20 @@ EXIT_CONFIG = 3
 EXIT_NUMERIC = 4
 EXIT_EMPTY = 5
 EXIT_IO = 6
+
+# Error class to exit code; any other exception propagates.
+_EXIT_CODES = {
+    ParseError: EXIT_PARSE,
+    IntegrityError: EXIT_PARSE,
+    json.JSONDecodeError: EXIT_PARSE,
+    ConfigError: EXIT_CONFIG,
+    InvalidArgumentError: EXIT_CONFIG,
+    InvalidInputError: EXIT_CONFIG,
+    DegenerateFitError: EXIT_NUMERIC,
+    DegenerateProjectionError: EXIT_NUMERIC,
+    EmptyResultError: EXIT_EMPTY,
+    OSError: EXIT_IO,
+}
 
 _THREAD_ENV_VARS = (
     "OMP_NUM_THREADS",
@@ -60,7 +88,21 @@ def _versions() -> dict:
     }
 
 
-def _write_manifest(args, argv, timings: dict, outputs: list, manifest_path: str):
+class _Run:
+    """What a command records for its manifest: phase timings and outputs."""
+
+    def __init__(self):
+        self.timings = {}
+        self.outputs = []
+
+    @contextlib.contextmanager
+    def phase(self, name: str):
+        t0 = time.perf_counter()
+        yield
+        self.timings[name] = time.perf_counter() - t0
+
+
+def _write_manifest(args, argv, run: _Run):
     flags = {
         k: v for k, v in sorted(vars(args).items()) if k not in ("func", "command")
     }
@@ -70,25 +112,31 @@ def _write_manifest(args, argv, timings: dict, outputs: list, manifest_path: str
         "flags": flags,
         "seed": getattr(args, "seed", None),
         "versions": _versions(),
-        "timings": {k: round(v, 6) for k, v in timings.items()},
-        "outputs": sorted(outputs),
+        "timings": {k: round(v, 6) for k, v in run.timings.items()},
+        "outputs": sorted(run.outputs),
     }
-    with open(manifest_path, "w", encoding="utf-8") as fh:
+    with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
+def _write_csv(path, header, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
 def _load_pair(args):
-    """Load and preprocess both embedding sets per the shared flags."""
-    from .data_io import load_vec
+    """Both embedding sets, preprocessed per the shared flags."""
+    from .data_io import EmbeddingSet, load_vec
     from .preprocess import PreprocessSpec, preprocess
 
-    src = load_vec(args.src, args.max_vocab)
-    tgt = load_vec(args.tgt, args.max_vocab)
+    raw = [load_vec(path, args.max_vocab) for path in (args.src, args.tgt)]
     spec = PreprocessSpec.parse(args.preprocess)
-    xs = preprocess(src.matrix, spec, labels=src.labels)
-    ys = preprocess(tgt.matrix, spec, labels=tgt.labels)
-    return src, tgt, xs, ys
+    return [EmbeddingSet(labels=e.labels,
+                         matrix=preprocess(e.matrix, spec, labels=e.labels))
+            for e in raw]
 
 
 def _add_pair_flags(p):
@@ -100,6 +148,13 @@ def _add_pair_flags(p):
                    help="comma list of steps drawn from {norm, center}")
 
 
+def _add_fw_flags(p):
+    p.add_argument("--fw-size", type=int, default=2500,
+                   help="rows per set entering the relaxation")
+    p.add_argument("--fw-iters", type=int, default=300)
+    p.add_argument("--fw-gap-tol", type=float, default=None)
+
+
 def _add_retrieval_flags(p):
     p.add_argument("--retrieval", choices=("nn", "csls", "isf"), default="csls")
     p.add_argument("--csls-k", type=int, default=10)
@@ -107,50 +162,36 @@ def _add_retrieval_flags(p):
     p.add_argument("--candidate-cap", type=int, default=200000)
 
 
-def _retrieval_config(args, cap=None):
+def _retrieval_config(args):
     from .retrieval import RetrievalConfig
 
-    return RetrievalConfig(
-        kind=args.retrieval,
-        csls_k=args.csls_k,
-        isf_beta=args.isf_beta,
-        candidate_cap=cap if cap is not None else args.candidate_cap,
-    )
+    return RetrievalConfig(kind=args.retrieval, csls_k=args.csls_k,
+                           isf_beta=args.isf_beta, candidate_cap=args.candidate_cap)
 
 
-def _run_convex_init(xs, ys, fw_size, fw_iters, fw_gap_tol):
+def _run_convex_init(args, xs, ys):
     from .qap_init import FwConfig, build_grams, extract_q0, fw_solve
 
-    m = min(fw_size, xs.shape[0], ys.shape[0])
+    m = min(args.fw_size, xs.shape[0], ys.shape[0])
     grams = build_grams(xs, ys, m)
-    cfg = FwConfig(max_iters=fw_iters, gap_tol=fw_gap_tol)
-    plan, trace = fw_solve(grams, cfg)
-    q0 = extract_q0(xs[:m], ys[:m], plan)
-    return q0, plan, trace
+    plan, trace = fw_solve(grams, FwConfig(max_iters=args.fw_iters,
+                                           gap_tol=args.fw_gap_tol))
+    return extract_q0(xs[:m], ys[:m], plan), plan, trace
 
 
-def cmd_init(args, argv) -> int:
+def cmd_init(args, run) -> int:
     from .data_io import save_map
 
-    timings = {}
-    t0 = time.perf_counter()
-    src, tgt, xs, ys = _load_pair(args)
-    timings["load"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    q0, plan, trace = _run_convex_init(xs, ys, args.fw_size, args.fw_iters,
-                                       args.fw_gap_tol)
-    timings["solve"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    save_map(args.out, q0)
+    with run.phase("load"):
+        src, tgt = _load_pair(args)
+    with run.phase("solve"):
+        q0, plan, trace = _run_convex_init(args, src.matrix, tgt.matrix)
     trace_path = args.out + ".fw_trace.csv"
-    with open(trace_path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["iter", "objective"])
-        for i, v in enumerate(trace):
-            w.writerow([i, "%.17g" % v])
-    timings["write"] = time.perf_counter() - t0
-    outputs = [args.out, trace_path]
-    _write_manifest(args, argv, timings, outputs, args.out + ".manifest.json")
+    with run.phase("write"):
+        save_map(args.out, q0)
+        _write_csv(trace_path, ["iter", "objective"],
+                   ([i, "%.17g" % v] for i, v in enumerate(trace)))
+    run.outputs += [args.out, trace_path]
     print(f"wrote {args.out} (fw iterations {plan.iterations}, "
           f"objective {trace[0]:.6g} -> {trace[-1]:.6g})")
     return EXIT_OK
@@ -162,54 +203,41 @@ def _initial_map(args, xs, ys):
     from .rng import PortableRng
 
     if args.init == "convex":
-        q0, _, _ = _run_convex_init(xs, ys, args.fw_size, args.fw_iters,
-                                    args.fw_gap_tol)
-        return q0
+        return _run_convex_init(args, xs, ys)[0]
     if args.init == "random":
         rng = PortableRng(args.seed).spawn(1)
         return project_orthogonal(rng.normal((xs.shape[1], xs.shape[1])))
     return load_map(args.init)
 
 
-def cmd_align(args, argv) -> int:
+def cmd_align(args, run) -> int:
     from .aligner import AlignmentConfig, align
     from .data_io import load_lexicon, save_map
-    from .errors import EmptyResultError
     from .procrustes import fit_orthogonal
     from .sinkhorn import SinkhornConfig
 
-    timings = {}
-    t0 = time.perf_counter()
-    src, tgt, xs, ys = _load_pair(args)
-    timings["load"] = time.perf_counter() - t0
-    outputs = [args.out]
+    with run.phase("load"):
+        src, tgt = _load_pair(args)
+    xs, ys = src.matrix, tgt.matrix
+    run.outputs.append(args.out)
 
     if args.supervised:
         lex = load_lexicon(args.supervised)
-        spos = src.index()
-        tpos = tgt.index()
-        rows_s = []
-        rows_t = []
-        for a, b in lex.pairs:
-            if a in spos and b in tpos:
-                rows_s.append(spos[a])
-                rows_t.append(tpos[b])
-        if not rows_s:
+        spos, tpos = src.index(), tgt.index()
+        hits = [(a, b) for a, b in lex.pairs if a in spos and b in tpos]
+        if not hits:
             raise EmptyResultError("no lexicon pair is inside both vocabularies")
-        t0 = time.perf_counter()
-        q = fit_orthogonal(xs[rows_s], ys[rows_t])
-        timings["solve"] = time.perf_counter() - t0
+        with run.phase("solve"):
+            q = fit_orthogonal(xs[[spos[a] for a, _ in hits]],
+                               ys[[tpos[b] for _, b in hits]])
         save_map(args.out, q)
-        _write_manifest(args, argv, timings, outputs, args.out + ".manifest.json")
-        print(f"wrote {args.out} (supervised fit on {len(rows_s)} pairs)")
+        print(f"wrote {args.out} (supervised fit on {len(hits)} pairs)")
         return EXIT_OK
 
-    t0 = time.perf_counter()
-    q0 = _initial_map(args, xs, ys)
-    timings["init"] = time.perf_counter() - t0
-    sink = None
-    if args.sinkhorn_eps is not None:
-        sink = SinkhornConfig(epsilon=args.sinkhorn_eps)
+    with run.phase("init"):
+        q0 = _initial_map(args, xs, ys)
+    sink = (None if args.sinkhorn_eps is None
+            else SinkhornConfig(epsilon=args.sinkhorn_eps))
     cfg = AlignmentConfig(
         total_iters=args.iters,
         batch_size_initial=args.batch_size,
@@ -220,73 +248,54 @@ def cmd_align(args, argv) -> int:
         sample_pool=args.sample_pool,
         rng_seed=args.seed,
     )
-    t0 = time.perf_counter()
-    state = align(xs, ys, q0, cfg)
-    timings["align"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    save_map(args.out, state.q)
-    if args.loss_csv:
-        with open(args.loss_csv, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["iter", "loss"])
-            for it, loss in state.loss_history:
-                w.writerow([it, "%.17g" % loss])
-        outputs.append(args.loss_csv)
-    timings["write"] = time.perf_counter() - t0
-    _write_manifest(args, argv, timings, outputs, args.out + ".manifest.json")
+    with run.phase("align"):
+        state = align(xs, ys, q0, cfg)
+    with run.phase("write"):
+        save_map(args.out, state.q)
+        if args.loss_csv:
+            _write_csv(args.loss_csv, ["iter", "loss"],
+                       ([it, "%.17g" % loss] for it, loss in state.loss_history))
+            run.outputs.append(args.loss_csv)
     final_loss = state.loss_history[-1][1]
     print(f"wrote {args.out} ({state.iteration} iterations, "
           f"final batch loss {final_loss:.6g})")
     return EXIT_OK
 
 
-def cmd_refine(args, argv) -> int:
+def cmd_refine(args, run) -> int:
     from .data_io import load_map, save_map
     from .refine import refine
     from .retrieval import RetrievalConfig
 
-    timings = {}
-    t0 = time.perf_counter()
-    src, tgt, xs, ys = _load_pair(args)
-    q = load_map(args.map)
-    timings["load"] = time.perf_counter() - t0
-    cfg = RetrievalConfig(
-        kind="csls", csls_k=args.csls_k, candidate_cap=args.dict_cap
-    )
-    t0 = time.perf_counter()
-    result = refine(xs, ys, q, epochs=args.epochs, cfg=cfg)
-    timings["refine"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    save_map(args.out, result.q)
+    with run.phase("load"):
+        src, tgt = _load_pair(args)
+        q = load_map(args.map)
+    cfg = RetrievalConfig(kind="csls", csls_k=args.csls_k, candidate_cap=args.dict_cap)
+    with run.phase("refine"):
+        result = refine(src.matrix, tgt.matrix, q, epochs=args.epochs, cfg=cfg)
     log_path = args.out + ".epochs.csv"
-    with open(log_path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["epoch", "dictionary_size"])
-        for i, s in enumerate(result.dictionary_sizes, start=1):
-            w.writerow([i, s])
-    timings["write"] = time.perf_counter() - t0
-    outputs = [args.out, log_path]
-    _write_manifest(args, argv, timings, outputs, args.out + ".manifest.json")
+    with run.phase("write"):
+        save_map(args.out, result.q)
+        _write_csv(log_path, ["epoch", "dictionary_size"],
+                   enumerate(result.dictionary_sizes, start=1))
+    run.outputs += [args.out, log_path]
     print(f"wrote {args.out} (status {result.status}, "
           f"dictionary sizes {list(result.dictionary_sizes)})")
     return EXIT_OK if result.status == "completed" else EXIT_EMPTY
 
 
-def cmd_translate(args, argv) -> int:
+def cmd_translate(args, run) -> int:
     from .data_io import load_map
     from .retrieval import retrieve
 
-    timings = {}
-    t0 = time.perf_counter()
-    src, tgt, xs, ys = _load_pair(args)
-    q = load_map(args.map)
-    timings["load"] = time.perf_counter() - t0
+    with run.phase("load"):
+        src, tgt = _load_pair(args)
+        q = load_map(args.map)
     n_q = src.size if args.max_queries is None else min(args.max_queries, src.size)
-    t0 = time.perf_counter()
-    table = retrieve(xs[:n_q] @ q.q, ys, _retrieval_config(args), topk=args.topk)
-    timings["retrieve"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with run.phase("retrieve"):
+        table = retrieve(src.matrix[:n_q] @ q.q, tgt.matrix, _retrieval_config(args),
+                         topk=args.topk)
+    with run.phase("write"), open(args.out, "w", encoding="utf-8") as fh:
         for i in range(n_q):
             word = src.labels[i]
             for rank in range(table.depth):
@@ -295,100 +304,78 @@ def cmd_translate(args, argv) -> int:
                     f"{word}\t{rank + 1}\t{tgt.labels[j]}\t"
                     f"{'%.17g' % table.scores[i, rank]}\n"
                 )
-    timings["write"] = time.perf_counter() - t0
-    _write_manifest(args, argv, timings, [args.out], args.out + ".manifest.json")
+    run.outputs.append(args.out)
     print(f"wrote {args.out} ({n_q} queries, top {args.topk})")
     return EXIT_OK
 
 
-def cmd_eval(args, argv) -> int:
+def cmd_eval(args, run) -> int:
     from .data_io import load_lexicon, load_map
     from .evaluation import evaluate_bli
 
-    timings = {}
-    t0 = time.perf_counter()
-    src, tgt, xs, ys = _load_pair(args)
-    q = load_map(args.map)
-    lex = load_lexicon(args.lexicon)
-    timings["load"] = time.perf_counter() - t0
+    with run.phase("load"):
+        src, tgt = _load_pair(args)
+        q = load_map(args.map)
+        lex = load_lexicon(args.lexicon)
     ks = tuple(int(k) for k in args.ks.split(","))
-    # Evaluation scores preprocessed vectors; wrap them back into sets
-    # so word lookup still goes through the labels.
-    from .data_io import EmbeddingSet
-
-    src_p = EmbeddingSet(labels=src.labels, matrix=xs)
-    tgt_p = EmbeddingSet(labels=tgt.labels, matrix=ys)
-    t0 = time.perf_counter()
-    report = evaluate_bli(src_p, tgt_p, q, lex, _retrieval_config(args), ks=ks)
-    timings["evaluate"] = time.perf_counter() - t0
-    doc = report.as_dict()
+    with run.phase("evaluate"):
+        report = evaluate_bli(src, tgt, q, lex, _retrieval_config(args), ks=ks)
     with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    _write_manifest(args, argv, timings, [args.out], args.out + ".manifest.json")
+    run.outputs.append(args.out)
     print(f"queries: {report.n_queries}   oov skipped: {report.oov_skipped}")
     for k in sorted(report.precision_at):
         print(f"  P@{k}: {report.precision_at[k]:.4f}")
     return EXIT_OK
 
 
-def cmd_synth(args, argv) -> int:
+def cmd_synth(args, run) -> int:
     from .data_io import save_map, save_vec, synth_generate
 
-    timings = {}
-    t0 = time.perf_counter()
-    inst = synth_generate(args.n, args.d, args.sigma, args.seed)
-    timings["generate"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
+    with run.phase("generate"):
+        inst = synth_generate(args.n, args.d, args.sigma, args.seed)
     paths = {
         "src": args.out + ".src.vec",
         "tgt": args.out + ".tgt.vec",
         "map": args.out + ".map",
         "lex": args.out + ".lex",
     }
-    save_vec(paths["src"], inst.x)
-    save_vec(paths["tgt"], inst.y)
-    save_map(paths["map"], inst.true_rotation)
-    with open(paths["lex"], "w", encoding="utf-8") as fh:
-        for a, b in inst.gold_pairs():
-            fh.write(f"{a} {b}\n")
-    timings["write"] = time.perf_counter() - t0
-    outputs = sorted(paths.values())
-    _write_manifest(args, argv, timings, outputs, args.out + ".manifest.json")
-    print(f"wrote {', '.join(outputs)}")
+    with run.phase("write"):
+        save_vec(paths["src"], inst.x)
+        save_vec(paths["tgt"], inst.y)
+        save_map(paths["map"], inst.true_rotation)
+        with open(paths["lex"], "w", encoding="utf-8") as fh:
+            for a, b in inst.gold_pairs():
+                fh.write(f"{a} {b}\n")
+    run.outputs += sorted(paths.values())
+    print(f"wrote {', '.join(run.outputs)}")
     return EXIT_OK
 
 
-def cmd_plot(args, argv) -> int:
+def cmd_plot(args, run) -> int:
     from .data_io import load_map
     from .linalg import pca_project
 
     import numpy as np
 
-    timings = {}
-    t0 = time.perf_counter()
-    src, tgt, xs, ys = _load_pair(args)
-    q = load_map(args.map)
-    timings["load"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    stacked = np.vstack([xs @ q.q, ys])
-    coords = pca_project(stacked, 2)
-    timings["project"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["label", "set", "pc1", "pc2"])
+    with run.phase("load"):
+        src, tgt = _load_pair(args)
+        q = load_map(args.map)
+    with run.phase("project"):
+        coords = pca_project(np.vstack([src.matrix @ q.q, tgt.matrix]), 2)
+    with run.phase("write"):
         labels = list(src.labels) + list(tgt.labels)
         sets = ["src"] * src.size + ["tgt"] * tgt.size
-        for lab, side, row in zip(labels, sets, coords):
-            w.writerow([lab, side, "%.17g" % row[0], "%.17g" % row[1]])
-    timings["write"] = time.perf_counter() - t0
-    _write_manifest(args, argv, timings, [args.out], args.out + ".manifest.json")
+        _write_csv(args.out, ["label", "set", "pc1", "pc2"],
+                   ([lab, side, "%.17g" % row[0], "%.17g" % row[1]]
+                    for lab, side, row in zip(labels, sets, coords)))
+    run.outputs.append(args.out)
     print(f"wrote {args.out} ({src.size + tgt.size} points)")
     return EXIT_OK
 
 
-def cmd_bench_batch_size(args, argv) -> int:
+def cmd_bench_batch_size(args, run) -> int:
     from .aligner import AlignmentConfig, align
     from .data_io import synth_generate
     from .evaluation import matching_accuracy
@@ -396,10 +383,8 @@ def cmd_bench_batch_size(args, argv) -> int:
     from .rng import PortableRng
 
     sizes = [int(s) for s in args.sizes.split(",")]
-    timings = {}
-    t0 = time.perf_counter()
-    inst = synth_generate(args.n, args.d, args.sigma, args.seed)
-    timings["generate"] = time.perf_counter() - t0
+    with run.phase("generate"):
+        inst = synth_generate(args.n, args.d, args.sigma, args.seed)
     rows = []
     for b in sizes:
         for s in range(args.seeds):
@@ -417,32 +402,26 @@ def cmd_bench_batch_size(args, argv) -> int:
                 matcher=args.matcher,
                 rng_seed=seed,
             )
-            t0 = time.perf_counter()
-            state = align(inst.x.matrix, inst.y.matrix, q0, cfg)
-            dt = time.perf_counter() - t0
+            phase = f"align_b{b}_seed{seed}"
+            with run.phase(phase):
+                state = align(inst.x.matrix, inst.y.matrix, q0, cfg)
             acc = matching_accuracy(inst, state.q, "nn")
             rows.append((b, seed, acc))
-            timings[f"align_b{b}_seed{seed}"] = dt
-            print(f"b={b} seed={seed}: accuracy {acc:.4f} in {dt:.1f}s")
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["batch_size", "seed", "accuracy"])
-        for b, seed, acc in rows:
-            w.writerow([b, seed, "%.17g" % acc])
-    _write_manifest(args, argv, timings, [args.out], args.out + ".manifest.json")
+            print(f"b={b} seed={seed}: accuracy {acc:.4f} in {run.timings[phase]:.1f}s")
+    _write_csv(args.out, ["batch_size", "seed", "accuracy"],
+               ([b, seed, "%.17g" % acc] for b, seed, acc in rows))
+    run.outputs.append(args.out)
     for b in sizes:
         accs = [a for bb, _, a in rows if bb == b]
         print(f"b={b}: mean accuracy {sum(accs) / len(accs):.4f}")
     return EXIT_OK
 
 
-def cmd_replay(args, argv) -> int:
+def cmd_replay(args, run) -> int:
     with open(args.manifest, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     stored = doc.get("argv")
     if not isinstance(stored, list) or not stored:
-        from .errors import ParseError
-
         raise ParseError(f"manifest {args.manifest} has no argv to replay")
     print(f"replaying: wproc {' '.join(stored)}")
     return main(stored)
@@ -461,11 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     pi = sub.add_parser("init", help="convex-relaxation initial map")
     _add_pair_flags(pi)
     pi.add_argument("--out", required=True, help="output map path")
-    pi.add_argument("--fw-size", type=int, default=2500,
-                    help="rows per set entering the relaxation")
-    pi.add_argument("--fw-iters", type=int, default=300)
-    pi.add_argument("--fw-gap-tol", type=float, default=None)
-    pi.add_argument("--seed", type=int, default=0)
+    _add_fw_flags(pi)
     pi.set_defaults(func=cmd_init)
 
     pa = sub.add_parser("align", help="stochastic alignment run")
@@ -484,9 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--no-batch-doubling", action="store_true")
     pa.add_argument("--sample-pool", type=int, default=None)
     pa.add_argument("--seed", type=int, default=0)
-    pa.add_argument("--fw-size", type=int, default=2500)
-    pa.add_argument("--fw-iters", type=int, default=300)
-    pa.add_argument("--fw-gap-tol", type=float, default=None)
+    _add_fw_flags(pa)
     pa.add_argument("--loss-csv", default=None)
     pa.set_defaults(func=cmd_align)
 
@@ -574,35 +547,16 @@ def main(argv=None) -> int:
             return EXIT_CONFIG
         _apply_threads(threads)
 
-    from .errors import (
-        ConfigError,
-        DegenerateFitError,
-        DegenerateProjectionError,
-        EmptyResultError,
-        IntegrityError,
-        InvalidArgumentError,
-        InvalidInputError,
-        ParseError,
-    )
-
+    run = _Run()
     try:
-        code = args.func(args, argv)
-        return EXIT_OK if code is None else code
-    except (ParseError, IntegrityError, json.JSONDecodeError) as exc:
+        code = args.func(args, run)
+        # A replayed command has already written its own manifest.
+        if args.func is not cmd_replay:
+            _write_manifest(args, argv, run)
+        return code
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (ConfigError, InvalidArgumentError, InvalidInputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (DegenerateFitError, DegenerateProjectionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except EmptyResultError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(c for cls, c in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

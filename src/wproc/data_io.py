@@ -199,6 +199,10 @@ def save_map(path, q: OrthogonalMap):
             fh.write(" ".join("%.17g" % v for v in row) + "\n")
 
 
+# A stored map passes its load check when ||q'q - I||_F is within this.
+_MAP_LOAD_ATOL = 1e-6
+
+
 def load_map(path) -> OrthogonalMap:
     """Read a stored map, checking orthogonality (1e-6) on load."""
     with _open_text(path) as fh:
@@ -220,11 +224,11 @@ def load_map(path) -> OrthogonalMap:
             except ValueError:
                 raise ParseError("unparseable numeric value", line=i + 2) from None
     err = float(np.linalg.norm(m.T @ m - np.eye(d)))
-    if err > 1e-6:
+    if err > _MAP_LOAD_ATOL:
         raise IntegrityError(
             f"stored map is not orthogonal: ||q'q - I||_F = {err:.3e}"
         )
-    return OrthogonalMap(q=m)
+    return OrthogonalMap(q=m, _ATOL=_MAP_LOAD_ATOL)
 
 
 def load_lexicon(path) -> Lexicon:

@@ -85,6 +85,10 @@ def mutual_nn_dictionary(
         cfg = default_refine_config()
     xs = as_matrix(x_mapped, "mapped source")[: cfg.candidate_cap]
     ys = as_matrix(y, "target")[: cfg.candidate_cap]
+    if xs.shape[1] != ys.shape[1]:
+        raise InvalidArgumentError(
+            f"dimension mismatch: mapped source d={xs.shape[1]}, target d={ys.shape[1]}"
+        )
     ns, nt = xs.shape[0], ys.shape[0]
     k = min(cfg.csls_k, ns, nt)
 
@@ -129,6 +133,10 @@ def refine(
         cfg = default_refine_config()
     x = as_matrix(x, "x")
     y = as_matrix(y, "y")
+    if x.shape[1] != y.shape[1] or x.shape[1] != q.dim:
+        raise InvalidArgumentError(
+            f"dimension mismatch: x {x.shape[1]}, y {y.shape[1]}, q {q.dim}"
+        )
     sizes = []
     for _ in range(epochs):
         try:

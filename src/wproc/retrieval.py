@@ -181,12 +181,18 @@ def isf_scores(queries, targets, beta: float) -> np.ndarray:
 
 
 def _select_top(scores: np.ndarray, topk: int):
-    """Per-row top-k indices and values, ties broken by lower index."""
+    """Per-row top-k indices and values, ties broken by lower index.
+
+    For topk > 1 the scores block is overwritten.
+    """
     if topk == 1:
         idx = np.argmax(scores, axis=1)[:, None]  # argmax takes the first max
         return idx, np.take_along_axis(scores, idx, axis=1)
-    order = np.argsort(-scores, axis=1, kind="stable")[:, :topk]
-    return order, np.take_along_axis(scores, order, axis=1)
+    # Sorting the negated block in place orders descending without a
+    # block-sized copy; negation is exact, so the values come back unchanged.
+    neg = np.negative(scores, out=scores)
+    order = np.argsort(neg, axis=1, kind="stable")[:, :topk]
+    return order, -np.take_along_axis(neg, order, axis=1)
 
 
 def _cos_blocks(qn: np.ndarray, tn: np.ndarray, size: int):
@@ -204,7 +210,8 @@ def _scored_blocks(q, t, kind: str, k: int, beta: float, block_size: int,
     CSLS and ISF first take one pass over the query blocks to assemble
     their per-target statistics: the k best cosines of each target, or
     its log-sum-exp over all queries.  k must not exceed either set
-    size under CSLS.  sides names the two sets in input errors.
+    size under CSLS.  sides names the two sets in input errors.  Each
+    block is a fresh array that the caller may overwrite.
     """
     qn = _unit_rows(q, sides[0])
     tn = _unit_rows(t, sides[1])
@@ -228,13 +235,13 @@ def _scored_blocks(q, t, kind: str, k: int, beta: float, block_size: int,
                 np.log(np.exp(col_lse - m) + np.exp(z - m).sum(axis=0)) + m
             )
 
-    for lo, hi, cos in _cos_blocks(qn, tn, block_size):
-        if kind == KIND_NN:
-            yield lo, hi, cos
-        elif kind == KIND_CSLS:
-            yield lo, hi, 2.0 * cos - _top_k_row_means(cos, k)[:, None] - r_q[None, :]
-        else:
-            yield lo, hi, np.exp(beta * cos - col_lse[None, :])
+    for lo, hi, s in _cos_blocks(qn, tn, block_size):
+        # Rebinding s drops the cosine block before the scores are handed out.
+        if kind == KIND_CSLS:
+            s = 2.0 * s - _top_k_row_means(s, k)[:, None] - r_q[None, :]
+        elif kind == KIND_ISF:
+            s = np.exp(beta * s - col_lse[None, :])
+        yield lo, hi, s
 
 
 def retrieve(queries, targets, cfg: RetrievalConfig | None = None, topk: int = 1) -> NeighborTable:

@@ -49,14 +49,11 @@ class SinkhornConfig:
         steps all draw from it.
     tol_marginal : float
         Worst allowed deviation of any row or column sum from 1/b.
-    log_domain : bool
-        Force the stabilized path even when the kernel looks safe.
     """
 
     epsilon: float | None = None
     max_iters: int = 100
     tol_marginal: float = 1e-6
-    log_domain: bool = False
 
     def __post_init__(self) -> None:
         if self.epsilon is not None and not self.epsilon > 0.0:
@@ -295,7 +292,7 @@ def sinkhorn_plan(cost: np.ndarray, cfg: SinkhornConfig | None = None) -> Transp
         b = c.shape[0]
         plan = np.full((b, b), 1.0 / (b * b))
         return TransportPlan(plan, True, 0.0, 0, eps)
-    if not cfg.log_domain and span / eps <= _LINEAR_DOMAIN_SPAN:
+    if span / eps <= _LINEAR_DOMAIN_SPAN:
         result = _sinkhorn_linear(c, eps, cfg)
         if result is not None:
             return result

@@ -2,11 +2,17 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import wproc
+import wproc.refine as refine_mod
 from wproc import __version__
 from wproc.cli import main
+from wproc.errors import EmptyResultError
 
 
 def run(*argv):
@@ -149,6 +155,76 @@ def test_manifest_records_argv_and_flags(inst, tmp_path):
     assert "func" not in doc["flags"]
 
 
+PAIR = ("{src}", "{tgt}")
+
+
+@pytest.mark.parametrize("argv, phases", [
+    pytest.param(("init", *PAIR, "--fw-size", 20, "--fw-iters", 5),
+                 {"load", "solve", "write"}, id="init"),
+    pytest.param(("align", *PAIR, "--init", "{map}", "--iters", 4,
+                  "--batch-size", 10, "--no-batch-doubling",
+                  "--loss-csv", "{dir}/loss.csv"),
+                 {"load", "init", "align", "write"}, id="align"),
+    pytest.param(("align", *PAIR, "--supervised", "{lex}"),
+                 {"load", "solve"}, id="align-supervised"),
+    pytest.param(("refine", *PAIR, "--map", "{map}", "--epochs", 1),
+                 {"load", "refine", "write"}, id="refine"),
+    pytest.param(("translate", *PAIR, "--map", "{map}"),
+                 {"load", "retrieve", "write"}, id="translate"),
+    pytest.param(("eval", *PAIR, "--map", "{map}", "--lexicon", "{lex}"),
+                 {"load", "evaluate"}, id="eval"),
+    pytest.param(("synth", "--n", 10, "--d", 3),
+                 {"generate", "write"}, id="synth"),
+    pytest.param(("plot", *PAIR, "--map", "{map}"),
+                 {"load", "project", "write"}, id="plot"),
+    pytest.param(("bench-batch-size", "--n", 40, "--d", 3, "--seeds", 1,
+                  "--sizes", "8,16", "--iters", 2),
+                 {"generate", "align_b8_seed1000", "align_b16_seed1000"},
+                 id="bench-batch-size"),
+])
+def test_manifest_records_phases_and_outputs(inst, tmp_path, argv, phases):
+    run_dir = tmp_path / "run"
+    run_dir.mkdir()
+    fill = dict(inst, dir=run_dir)
+    out = run_dir / "result"
+    assert main([str(a).format(**fill) for a in argv] + ["--out", str(out)]) == 0
+    manifest = run_dir / "result.manifest.json"
+    with open(manifest, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert set(doc["timings"]) == phases
+    assert doc["outputs"] == sorted(str(p) for p in run_dir.iterdir()
+                                    if p != manifest)
+
+
+def test_refine_empty_dictionary_still_writes_manifest(inst, tmp_path,
+                                                       monkeypatch):
+    def empty(*args, **kwargs):
+        raise EmptyResultError("no mutual nearest neighbors; cannot refine")
+
+    monkeypatch.setattr(refine_mod, "mutual_nn_dictionary", empty)
+    out = tmp_path / "r.map"
+    assert run("refine", inst["src"], inst["tgt"], "--map", inst["map"],
+               "--out", out) == 5
+    with open(f"{out}.manifest.json", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert doc["outputs"] == [str(out), f"{out}.epochs.csv"]
+
+
+def test_importing_cli_loads_no_numeric_library():
+    # The --threads cap has to reach the environment before numpy or scipy
+    # starts a thread pool, so wproc.cli may import them only in commands.
+    env = dict(os.environ)
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(wproc.__file__)))
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (pkg_root, env.get("PYTHONPATH")) if p)
+    code = ("import sys, wproc.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('numpy', 'scipy')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 def test_replay_regenerates_outputs(inst, tmp_path, capsys):
     with open(inst["src"], "rb") as fh:
         before = fh.read()
@@ -246,6 +322,9 @@ def test_exit_empty_on_disjoint_lexicon(inst, tmp_path):
                "--lexicon", lex, "--out", tmp_path / "r.json") == 5
     assert run("align", inst["src"], inst["tgt"], "--out", tmp_path / "o",
                "--supervised", lex) == 5
+    # A command that raises leaves no manifest behind.
+    assert not (tmp_path / "r.json.manifest.json").exists()
+    assert not (tmp_path / "o.manifest.json").exists()
 
 
 def test_exit_io_on_missing_file(tmp_path):

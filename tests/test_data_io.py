@@ -130,6 +130,18 @@ def test_load_map_rejects_tampering(tmp_path):
         load_map(str(p))
 
 
+@pytest.mark.parametrize("delta, loads", [(3e-8, True), (1e-5, False)])
+def test_load_map_orthogonality_tolerance_is_1e6(tmp_path, delta, loads):
+    # diag(1 + delta, 1, 1) has ||q'q - I||_F = 2 delta + delta^2: 6e-8
+    # is inside the 1e-6 load tolerance, 2e-5 is outside it.
+    p = write(tmp_path / "q.map", f"3\n{1 + delta!r} 0 0\n0 1 0\n0 0 1\n")
+    if loads:
+        assert load_map(p).q[0, 0] == 1 + delta
+    else:
+        with pytest.raises(IntegrityError):
+            load_map(p)
+
+
 def test_load_map_parse_errors(tmp_path):
     p = write(tmp_path / "q.map", "x\n")
     with pytest.raises(ParseError):

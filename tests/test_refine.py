@@ -164,6 +164,22 @@ def test_refine_validates_epochs():
         refine(np.eye(3), np.eye(3), OrthogonalMap(q=np.eye(3)), epochs=0)
 
 
+def test_mutual_dictionary_rejects_dimension_mismatch():
+    rng = np.random.default_rng(0)
+    with pytest.raises(InvalidArgumentError, match="dimension mismatch"):
+        mutual_nn_dictionary(unit(rng.standard_normal((8, 3))),
+                             unit(rng.standard_normal((8, 4))))
+
+
+@pytest.mark.parametrize("dx, dy, dq", [(3, 4, 3), (4, 4, 3), (3, 3, 4)])
+def test_refine_rejects_dimension_mismatch(dx, dy, dq):
+    rng = np.random.default_rng(1)
+    x = unit(rng.standard_normal((8, dx)))
+    y = unit(rng.standard_normal((8, dy)))
+    with pytest.raises(InvalidArgumentError, match="dimension mismatch"):
+        refine(x, y, OrthogonalMap(q=np.eye(dq)), epochs=1)
+
+
 def test_refine_result_is_plain_data():
     r = RefineResult(q=OrthogonalMap(q=np.eye(2)), dictionary_sizes=(4,),
                      status="completed")

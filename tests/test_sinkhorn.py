@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import wproc.sinkhorn as sinkhorn
 from wproc.assignment import solve_lap
 from wproc.errors import InvalidArgumentError
 from wproc.sinkhorn import (
@@ -97,10 +98,9 @@ def test_log_domain_agrees_with_linear():
     rng = np.random.default_rng(4)
     cost = random_cost(rng, 15)
     eps = 0.2 * float(np.median(cost))
-    a = sinkhorn_plan(cost, SinkhornConfig(epsilon=eps, tol_marginal=1e-10,
-                                           max_iters=5000))
-    b = sinkhorn_plan(cost, SinkhornConfig(epsilon=eps, tol_marginal=1e-10,
-                                           max_iters=5000, log_domain=True))
+    cfg = SinkhornConfig(epsilon=eps, tol_marginal=1e-10, max_iters=5000)
+    a = sinkhorn_plan(cost, cfg)
+    b = sinkhorn._sinkhorn_log(cost, eps, cfg)
     assert np.abs(a.weights - b.weights).max() < 1e-9
 
 
