@@ -1,24 +1,20 @@
-"""Exact linear assignment: Hungarian-style solver plus a brute-force oracle.
+"""Exact linear assignment.
 
 ``solve_lap`` delegates to scipy's Jonker-Volgenant implementation; the
-brute-force enumerator is kept independent so the two can cross-check each
-other in tests.
+tests cross-check it against an independent brute-force enumerator.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .errors import InvalidArgumentError, InvalidInputError
+from .errors import InvalidInputError
 from .linalg import as_matrix
 
-__all__ = ["Permutation", "solve_lap", "brute_force_lap", "max_trace_matching"]
-
-_BRUTE_FORCE_LIMIT = 8
+__all__ = ["Permutation", "solve_lap", "max_trace_matching"]
 
 
 @dataclass(frozen=True)
@@ -72,24 +68,6 @@ def solve_lap(cost) -> tuple[Permutation, float]:
     mapping[rows] = cols
     total = float(cost[rows, cols].sum())
     return Permutation(mapping), total
-
-
-def brute_force_lap(cost) -> tuple[Permutation, float]:
-    """Exhaustive minimum over all n! permutations; refuses n > 8.
-
-    Ties resolve to the lexicographically smallest mapping because
-    permutations are enumerated in lexicographic order.
-    """
-    cost = _check_square_cost(cost, "cost matrix")
-    n = cost.shape[0]
-    if n > _BRUTE_FORCE_LIMIT:
-        raise InvalidArgumentError(
-            f"brute force refused for n={n} > {_BRUTE_FORCE_LIMIT} (factorial blowup)"
-        )
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    totals = cost[np.arange(n), perms].sum(axis=1)
-    best = int(np.argmin(totals))
-    return Permutation(perms[best]), float(totals[best])
 
 
 def max_trace_matching(score) -> Permutation:

@@ -296,14 +296,10 @@ def cmd_translate(args, run) -> int:
         table = retrieve(src.matrix[:n_q] @ q.q, tgt.matrix, _retrieval_config(args),
                          topk=args.topk)
     with run.phase("write"), open(args.out, "w", encoding="utf-8") as fh:
-        for i in range(n_q):
-            word = src.labels[i]
-            for rank in range(table.depth):
-                j = int(table.indices[i, rank])
-                fh.write(
-                    f"{word}\t{rank + 1}\t{tgt.labels[j]}\t"
-                    f"{'%.17g' % table.scores[i, rank]}\n"
-                )
+        for word, row_idx, row_sc in zip(src.labels, table.indices.tolist(),
+                                         table.scores.tolist()):
+            for rank, (j, score) in enumerate(zip(row_idx, row_sc), start=1):
+                fh.write(f"{word}\t{rank}\t{tgt.labels[j]}\t{'%.17g' % score}\n")
     run.outputs.append(args.out)
     print(f"wrote {args.out} ({n_q} queries, top {args.topk})")
     return EXIT_OK

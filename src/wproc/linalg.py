@@ -41,9 +41,6 @@ class SvdResult:
     s: np.ndarray
     v: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.s) @ self.v.T
-
 
 @dataclass(frozen=True)
 class OrthogonalMap:

@@ -188,11 +188,27 @@ def _select_top(scores: np.ndarray, topk: int):
     if topk == 1:
         idx = np.argmax(scores, axis=1)[:, None]  # argmax takes the first max
         return idx, np.take_along_axis(scores, idx, axis=1)
-    # Sorting the negated block in place orders descending without a
-    # block-sized copy; negation is exact, so the values come back unchanged.
+    # Ascending order of the negated block is descending order of the
+    # scores; negation is exact, so the values come back unchanged.
     neg = np.negative(scores, out=scores)
-    order = np.argsort(neg, axis=1, kind="stable")[:, :topk]
-    return order, -np.take_along_axis(neg, order, axis=1)
+    # Candidates in ascending index order, so the stable sort of their
+    # values breaks ties by lower index.
+    cand = np.sort(np.argpartition(neg, topk - 1, axis=1)[:, :topk], axis=1)
+    vals = np.take_along_axis(neg, cand, axis=1)
+    order = np.argsort(vals, axis=1, kind="stable")
+    idx = np.take_along_axis(cand, order, axis=1)
+    vals = np.take_along_axis(vals, order, axis=1)
+    kth = vals[:, -1:]
+    # Where the k-th value also occurs outside the candidates, the
+    # partition may have kept a higher index than a tied one it left out:
+    # those rows alone are sorted in full.
+    tied = np.flatnonzero(np.count_nonzero(neg == kth, axis=1)
+                          != np.count_nonzero(vals == kth, axis=1))
+    if tied.size:
+        rows = neg[tied]
+        idx[tied] = np.argsort(rows, axis=1, kind="stable")[:, :topk]
+        vals[tied] = np.take_along_axis(rows, idx[tied], axis=1)
+    return idx, -vals
 
 
 def _cos_blocks(qn: np.ndarray, tn: np.ndarray, size: int):
@@ -228,19 +244,25 @@ def _scored_blocks(q, t, kind: str, k: int, beta: float, block_size: int,
         _check_unit(q, sides[0])
         _check_unit(t, sides[1])
         col_lse = np.full(tn.shape[0], -np.inf)
-        for _, _, cos in _cos_blocks(qn, tn, block_size):
-            z = beta * cos
+        for _, _, z in _cos_blocks(qn, tn, block_size):
+            z *= beta
             m = np.maximum(col_lse, z.max(axis=0))
-            col_lse = (
-                np.log(np.exp(col_lse - m) + np.exp(z - m).sum(axis=0)) + m
-            )
+            z -= m
+            np.exp(z, out=z)
+            col_lse = np.log(np.exp(col_lse - m) + z.sum(axis=0)) + m
 
     for lo, hi, s in _cos_blocks(qn, tn, block_size):
-        # Rebinding s drops the cosine block before the scores are handed out.
+        # In place on the fresh cosine block, in the order of
+        # 2 cos - r_t - r_q and exp(beta cos - lse), so no score moves.
         if kind == KIND_CSLS:
-            s = 2.0 * s - _top_k_row_means(s, k)[:, None] - r_q[None, :]
+            r_t = _top_k_row_means(s, k)
+            s *= 2.0
+            s -= r_t[:, None]
+            s -= r_q[None, :]
         elif kind == KIND_ISF:
-            s = np.exp(beta * s - col_lse[None, :])
+            s *= beta
+            s -= col_lse[None, :]
+            np.exp(s, out=s)
         yield lo, hi, s
 
 

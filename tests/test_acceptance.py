@@ -18,7 +18,7 @@ import pytest
 
 import wproc
 from wproc.aligner import AlignmentConfig, AlignmentState, align, align_step
-from wproc.assignment import brute_force_lap, max_trace_matching, solve_lap
+from wproc.assignment import max_trace_matching, solve_lap
 from wproc.data_io import synth_generate
 from wproc.evaluation import matching_accuracy
 from wproc.linalg import OrthogonalMap, project_orthogonal
@@ -34,6 +34,8 @@ from wproc.qap_init import (
 from wproc.retrieval import csls_scores, isf_scores
 from wproc.rng import PortableRng
 from wproc.sinkhorn import SinkhornConfig, sinkhorn_plan, transport_cost
+
+from test_assignment import brute_force_lap
 
 
 def report(num, detail):

@@ -1,15 +1,32 @@
 """Assignment solver against the brute-force enumerator and hand cases."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from wproc.assignment import (
-    Permutation,
-    brute_force_lap,
-    max_trace_matching,
-    solve_lap,
-)
+from wproc.assignment import Permutation, max_trace_matching, solve_lap
 from wproc.errors import InvalidArgumentError, InvalidInputError
+
+_BRUTE_FORCE_LIMIT = 8
+
+
+def brute_force_lap(cost) -> tuple[Permutation, float]:
+    """Exhaustive minimum over all n! permutations; refuses n > 8.
+
+    Ties resolve to the lexicographically smallest mapping because
+    permutations are enumerated in lexicographic order.
+    """
+    cost = np.asarray(cost, dtype=np.float64)
+    n = cost.shape[0]
+    if n > _BRUTE_FORCE_LIMIT:
+        raise InvalidArgumentError(
+            f"brute force refused for n={n} > {_BRUTE_FORCE_LIMIT} (factorial blowup)"
+        )
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    totals = cost[np.arange(n), perms].sum(axis=1)
+    best = int(np.argmin(totals))
+    return Permutation(perms[best]), float(totals[best])
 
 
 def test_permutation_validation():

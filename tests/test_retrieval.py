@@ -8,6 +8,7 @@ from wproc.retrieval import (
     NeighborTable,
     RetrievalConfig,
     cosine_scores,
+    _select_top,
     csls_scores,
     isf_scores,
     retrieve,
@@ -124,6 +125,25 @@ def test_tie_break_prefers_lower_index():
     t = np.array([[2.0, 0.0], [1.0, 0.0], [3.0, 0.0], [0.0, 1.0]])
     table = retrieve(q, t, RetrievalConfig(kind="nn"), topk=3)
     assert table.indices[0].tolist() == [0, 1, 2]
+
+
+def test_top_k_ties_at_the_boundary_match_stable_sort():
+    # Small integer scores put ties across the k-th place in most rows, so
+    # a partition alone could keep a higher index than a tied one.
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        n = int(rng.integers(3, 24))
+        s = rng.integers(-2, 3, size=(int(rng.integers(1, 16)), n)).astype(float)
+        for topk in (2, n - 1, n):
+            want = np.argsort(-s, axis=1, kind="stable")[:, :topk]
+            idx, val = _select_top(s.copy(), topk)
+            assert np.array_equal(idx, want)
+            assert np.array_equal(val, np.take_along_axis(s, want, axis=1))
+    # Four equal cosines compete for two places.
+    q = np.array([[1.0, 0.0]])
+    t = np.array([[1.0, 1.0], [1.0, -1.0], [1.0, 1.0], [1.0, -1.0], [-1.0, 0.0]])
+    table = retrieve(q, t, RetrievalConfig(kind="nn"), topk=2)
+    assert table.indices[0].tolist() == [0, 1]
 
 
 def test_candidate_cap_limits_search():
