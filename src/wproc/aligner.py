@@ -176,7 +176,9 @@ def align(
 
     step_callback, when given, is invoked with the state after every
     step; it exists for instrumentation (orthogonality audits, live
-    loss reporting) and must not mutate the state.
+    loss reporting) and must not mutate the state.  That state's
+    loss_history holds only its own step's (iteration, loss) pair; the
+    returned state holds the pairs of all steps.
     """
     if cfg is None:
         cfg = AlignmentConfig()
@@ -198,14 +200,22 @@ def align(
         )
     rng = PortableRng(cfg.rng_seed)
     state = AlignmentState(q=q0, iteration=0)
+    history = []
     for t in range(1, cfg.total_iters + 1):
         b = batch_at(t)
         ix = rng.sample_without_replacement(pool, b)
         iy = rng.sample_without_replacement(pool, b)
-        state = align_step(x[ix], y[iy], state, cfg)
+        # Each step starts from an empty history, so no step copies the
+        # ones before it; the returned state gathers them all.
+        state = align_step(
+            x[ix], y[iy], AlignmentState(q=state.q, iteration=state.iteration), cfg
+        )
+        history.extend(state.loss_history)
         if step_callback is not None:
             step_callback(state)
-    return state
+    return AlignmentState(
+        q=state.q, iteration=state.iteration, loss_history=tuple(history)
+    )
 
 
 def estimate_objective(x, y, q: OrthogonalMap, n_eval: int, matcher: str = "auto") -> float:

@@ -86,11 +86,12 @@ class PortableRng:
         """``k`` distinct indices from range(pool), via partial Fisher-Yates."""
         if k > pool:
             raise ValueError(f"cannot sample {k} from pool of {pool}")
-        a = np.arange(pool, dtype=np.int64)
-        if k == 0:
-            return a[:0]
-        draws = self.u64(k)
-        for i in range(k):
-            j = i + int(draws[i] % np.uint64(pool - i))
-            a[i], a[j] = a[j], a[i]
-        return a[:k]
+        # The swaps run on a virtual range(pool): slots holds only the
+        # entries a swap has moved, and slot i is never read after step i.
+        slots = {}
+        out = []
+        for i, r in enumerate(self.u64(k).tolist()):
+            j = i + r % (pool - i)
+            out.append(slots.get(j, j))
+            slots[j] = slots.get(i, i)
+        return np.array(out, dtype=np.int64)

@@ -19,6 +19,7 @@ from wproc.errors import (
 )
 from wproc.linalg import OrthogonalMap, project_orthogonal
 from wproc.procrustes import fit_orthogonal
+from wproc.rng import PortableRng
 from wproc.sinkhorn import SinkhornConfig, sinkhorn_plan
 
 
@@ -144,6 +145,30 @@ def test_align_recovers_known_rotation():
     last_losses = [v for _, v in state.loss_history[-5:]]
     assert np.mean(last_losses) < 1e-3 * np.mean(first_losses)
     assert np.linalg.norm(state.q.q - r) < 1e-6
+
+
+def test_align_history_matches_chained_steps():
+    # align is align_step chained over the seeded batches; its history is
+    # the chain's, while each callback state carries its own step only.
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((40, 3))
+    y = rng.standard_normal((40, 3))
+    q0 = OrthogonalMap(q=np.eye(3))
+    cfg = AlignmentConfig(total_iters=9, batch_size_initial=6, rng_seed=3)
+    seen = []
+    got = align(x, y, q0, cfg, step_callback=lambda s: seen.append(s.loss_history))
+
+    draws = PortableRng(3)
+    batch_at = aligner_mod._batch_schedule(cfg)
+    state = AlignmentState(q=q0, iteration=0)
+    for t in range(1, 10):
+        ix = draws.sample_without_replacement(40, batch_at(t))
+        iy = draws.sample_without_replacement(40, batch_at(t))
+        state = align_step(x[ix], y[iy], state, cfg)
+    assert got.iteration == state.iteration == 9
+    assert np.array_equal(got.q.q, state.q.q)
+    assert got.loss_history == state.loss_history
+    assert seen == [(pair,) for pair in state.loss_history]
 
 
 def test_align_deterministic_per_seed():

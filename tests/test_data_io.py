@@ -1,10 +1,12 @@
 """File formats: strict parsing, round trips, synthetic generator."""
 
 import gzip
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from wproc import data_io
 from wproc.data_io import (
     EmbeddingSet,
     Lexicon,
@@ -76,6 +78,196 @@ def test_load_vec_splits_on_single_spaces_only(tmp_path):
         load_vec(p)
 
 
+# The line loop as it stands before any test patches it: the reference
+# parse the bulk path must reproduce.
+_LINE_LOOP = data_io._parse_lines
+
+
+def loop_parse(path):
+    """Labels and values of a whole file, parsed by the line loop alone."""
+    with data_io._open_text(path) as fh:
+        d = int(fh.readline().split()[1])
+        lines = fh.readlines()
+    out = np.empty((len(lines), d))
+    return tuple(_LINE_LOOP(lines, d, 0, set(), out)), out
+
+
+@pytest.fixture
+def bulk_only(monkeypatch):
+    """Make any fall back to the line loop fail the test."""
+
+    def refuse(lines, d, first, seen, out):
+        raise AssertionError(f"chunk at data row {first + 1} fell back to the line loop")
+
+    monkeypatch.setattr(data_io, "_parse_lines", refuse)
+
+
+@pytest.fixture
+def loop_calls(monkeypatch):
+    """Count the chunks that fall back to the line loop."""
+    calls = []
+
+    def spy(lines, d, first, seen, out):
+        calls.append(first)
+        return _LINE_LOOP(lines, d, first, seen, out)
+
+    monkeypatch.setattr(data_io, "_parse_lines", spy)
+    return calls
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+AWKWARD = [
+    "1e5", "1E-5", "-2.5e+03", "0", "-0", "-0.0", "+0", "nan", "-nan", "NaN",
+    "inf", "-inf", "+Infinity", "1e-400", "-1e-400", "1e500", "-1e500",
+    "5e-324", "4.9406564584124654e-324", "2.225073858507201e-308",
+    "2.2250738585072014e-308", "1.7976931348623157e308",
+    "0.12345678901234567", "-9.8765432109876543e-17", "12345678901234567",
+    ".5", "5.", "007", "0.1000000000000000055511151231257827",
+]
+
+
+@pytest.mark.parametrize("d", [1, 3, len(AWKWARD)])
+@pytest.mark.parametrize("last_newline", [True, False])
+def test_bulk_parse_is_bit_identical_to_line_loop(d, last_newline):
+    # An EmbeddingSet refuses non-finite values, so the two parsers are
+    # compared on a chunk of lines; every token appears in every column.
+    m = len(AWKWARD)
+    lines = [f"w{i} " + " ".join(AWKWARD[(i + j) % m] for j in range(d)) + "\n"
+             for i in range(m)]
+    if not last_newline:
+        lines[-1] = lines[-1].rstrip("\n")
+    bulk, ref = np.empty((m, d)), np.empty((m, d))
+    words = data_io._parse_chunk(lines, d, set(), bulk)
+    assert words is not None, "the chunk fell back to the line loop"
+    assert words == _LINE_LOOP(lines, d, 0, set(), ref)
+    assert_same_bits(bulk, ref)
+
+
+@pytest.mark.parametrize("body", [
+    "1 3\nonly 1 -0 5e-324\n",  # one row
+    "2 2\na 1 2\nb -0.0 1e-400",  # no final newline
+    "1 1\nx -0\n",  # d = 1
+])
+def test_bulk_parse_small_files(tmp_path, bulk_only, body):
+    p = write(tmp_path / "a.vec", body)
+    e = load_vec(p)
+    labels, want = loop_parse(p)
+    assert e.labels == labels
+    assert_same_bits(e.matrix, want)
+
+
+@pytest.mark.parametrize("name", ["a.vec", "a.vec.gz"])
+def test_save_vec_output_takes_the_bulk_path_in_every_chunk(tmp_path, bulk_only, name):
+    # 2 full chunks and a partial third, plain and gzip; a chunk that fell
+    # back to the line loop would fail the test.
+    n = 2 * data_io._CHUNK_ROWS + 7
+    e = EmbeddingSet(labels=tuple(f"r{i}" for i in range(n)),
+                     matrix=np.random.default_rng(3).standard_normal((n, 4)) * 1e3)
+    p = str(tmp_path / name)
+    save_vec(p, e)
+    back = load_vec(p)
+    labels, want = loop_parse(p)
+    assert back.labels == labels == e.labels
+    assert_same_bits(back.matrix, want)
+
+
+@pytest.mark.parametrize("raw, want, falls_back", [
+    # The text reader turns CRLF into LF before either parser sees it.
+    (b"2 2\r\na 1 2\r\nb 3 4\r\n", [[1.0, 2.0], [3.0, 4.0]], False),
+    ("1 2\na 1_0 2\n".encode(), [[10.0, 2.0]], True),
+    ("1 2\na ١ 2\n".encode(), [[1.0, 2.0]], True),  # Arabic-Indic one
+])
+def test_crlf_underscores_and_unicode_digits_load_as_the_loop_does(
+    tmp_path, loop_calls, raw, want, falls_back
+):
+    p = tmp_path / "a.vec"
+    p.write_bytes(raw)
+    e = load_vec(str(p))
+    labels, ref = loop_parse(str(p))
+    assert e.labels == labels
+    assert_same_bits(e.matrix, ref)
+    assert e.matrix.tolist() == want
+    assert loop_calls == ([0] if falls_back else [])
+
+
+@pytest.mark.parametrize("body, frag", [
+    # np.loadtxt strips \x1c-\x1f around a number; float() refuses them.
+    ("1 2\na \x1c1 2\n", "line 2"),
+    ("2 2\na 1\x1f 2\nb 3 4\n", "line 2"),
+    # Four spaces on two lines, but one of them is blank: loadtxt skips
+    # the blank line and would return one row for two.
+    ("2 2\na 1 2 3 4\n\n", "line 2"),
+])
+def test_bulk_checks_send_loop_errors_through(tmp_path, loop_calls, body, frag):
+    p = write(tmp_path / "bad.vec", body)
+    with pytest.raises(ParseError) as err:
+        load_vec(p)
+    assert frag in str(err.value)
+    assert loop_calls == [0]
+
+
+def test_max_rows_reads_no_further(tmp_path, bulk_only):
+    good = "".join(f"w{i} {i} -{i}\n" for i in range(5))
+    p = write(tmp_path / "a.vec", "9 2\n" + good + "w0 not a row\n\n \x1c")
+    e = load_vec(p, max_rows=5)
+    assert e.labels == tuple(f"w{i}" for i in range(5))
+    assert e.matrix[:, 1].tolist() == [-0.0, -1.0, -2.0, -3.0, -4.0]
+    # A file that stops right after the wanted rows is not truncated.
+    p = write(tmp_path / "b.vec", "9 2\n" + good)
+    assert load_vec(p, max_rows=5).size == 5
+
+
+# (data lines after the good ones, header count beyond the good ones,
+# expected error): the error cases above, placed in a later chunk.
+LATE_ERRORS = [
+    (["a 1 2\n"], 2, "file ends after {g1} data rows, header declared {n}"),
+    (["a 1 2 3\n"], 1, "expected a word and 2 values, got 4 tokens"),
+    (["a 1\n"], 1, "expected a word and 2 values, got 2 tokens"),
+    (["a 1 z\n"], 1, "unparseable numeric value"),
+    (["a 1 2\n", "a 3 4\n"], 2, "duplicate word 'a'"),
+    (["g0 1 2\n"], 1, "duplicate word 'g0'"),  # repeats a word of chunk 1
+    (["a 1 2\n"], 0, "more data rows than the header's {n}"),
+    ([" 1 2\n"], 1, "empty word"),
+    (["foo  1 2\n"], 1, "expected a word and 2 values, got 4 tokens"),
+]
+
+
+@pytest.mark.parametrize("chunk", [4, None])
+@pytest.mark.parametrize("tail, extra, message", LATE_ERRORS)
+def test_errors_in_a_later_chunk_carry_absolute_line_numbers(
+    tmp_path, monkeypatch, chunk, tail, extra, message
+):
+    if chunk is not None:
+        monkeypatch.setattr(data_io, "_CHUNK_ROWS", chunk)
+    g = (chunk or data_io._CHUNK_ROWS) + 2  # good rows: one chunk and a bit
+    n = g + extra
+    good = "".join(f"g{i} {i} 0.5\n" for i in range(g))
+    p = write(tmp_path / "bad.vec", f"{n} 2\n" + good + "".join(tail))
+    with pytest.raises(ParseError) as err:
+        load_vec(p)
+    # The failing line is the last one written; truncation names the
+    # line after it.
+    line = g + len(tail) + 1
+    if message.startswith("file ends"):
+        line += 1
+    want = message.format(g1=g + 1, n=n)
+    assert str(err.value) == f"line {line}: {want}"
+
+
+@pytest.mark.filterwarnings("error")
+def test_file_ending_at_a_chunk_boundary_is_truncated(tmp_path, monkeypatch):
+    monkeypatch.setattr(data_io, "_CHUNK_ROWS", 4)
+    good = "".join(f"g{i} {i} 0.5\n" for i in range(8))
+    p = write(tmp_path / "bad.vec", "9 2\n" + good)
+    with pytest.raises(ParseError) as err:
+        load_vec(p)
+    assert str(err.value) == "line 10: file ends after 8 data rows, header declared 9"
+
+
 def test_vec_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     e = EmbeddingSet(
@@ -99,6 +291,23 @@ def test_vec_gzip_round_trip(tmp_path):
     back = load_vec(str(p))
     assert back.labels == ("a", "b")
     assert np.array_equal(back.matrix, np.eye(2))
+
+
+@pytest.mark.parametrize("name", ["out.vec", "out.vec.gz"])
+def test_save_vec_bytes_equal_per_value_formatting(tmp_path, name):
+    awkward = [-0.0, 5e-324, 1.7976931348623157e308, np.inf, -np.inf, np.nan,
+               0.12345678901234567, -9.8765432109876543e-17, 1e22, 123456789.0]
+    m = np.array([awkward, awkward[::-1],
+                  np.random.default_rng(2).standard_normal(len(awkward))])
+    # An EmbeddingSet refuses inf and nan; save_vec reads only these fields.
+    e = SimpleNamespace(size=3, dim=len(awkward), labels=("a", "b", "c"), matrix=m)
+    p = tmp_path / name
+    save_vec(str(p), e)
+    want = f"3 {len(awkward)}\n" + "".join(
+        word + " " + " ".join("%.8g" % v for v in row) + "\n"
+        for word, row in zip(e.labels, m))
+    got = gzip.decompress(p.read_bytes()) if name.endswith(".gz") else p.read_bytes()
+    assert got == want.encode("utf-8")
 
 
 def test_embedding_set_validation():

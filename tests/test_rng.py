@@ -120,6 +120,18 @@ def test_sample_without_replacement_matches_oracle():
     assert len(set(got.tolist())) == k
 
 
+@pytest.mark.parametrize("pool, k", [(1, 1), (2000, 2000), (5000, 600)])
+def test_sample_without_replacement_matches_oracle_at_scale(pool, k):
+    got = PortableRng(21).sample_without_replacement(pool, k)
+    draws = [int(v) for v in PortableRng(21).u64(k)]
+    a = list(range(pool))
+    for i in range(k):
+        j = i + draws[i] % (pool - i)
+        a[i], a[j] = a[j], a[i]
+    assert got.dtype == np.int64
+    assert got.tolist() == a[:k]
+
+
 def test_sample_without_replacement_bounds():
     with pytest.raises(ValueError):
         PortableRng(0).sample_without_replacement(3, 4)
