@@ -32,12 +32,9 @@ _EXPORTS = {
     "solve_lap": "assignment",
     "max_trace_matching": "assignment",
     "fit_orthogonal": "procrustes",
-    "residual": "procrustes",
     "SinkhornConfig": "sinkhorn",
     "TransportPlan": "sinkhorn",
     "sinkhorn_plan": "sinkhorn",
-    "plan_to_matching": "sinkhorn",
-    "transport_cost": "sinkhorn",
     "GramPair": "qap_init",
     "FwConfig": "qap_init",
     "build_grams": "qap_init",
@@ -47,13 +44,9 @@ _EXPORTS = {
     "AlignmentState": "aligner",
     "align": "aligner",
     "align_step": "aligner",
-    "estimate_objective": "aligner",
     "RetrievalConfig": "retrieval",
     "NeighborTable": "retrieval",
     "retrieve": "retrieval",
-    "cosine_scores": "retrieval",
-    "csls_scores": "retrieval",
-    "isf_scores": "retrieval",
     "SeedDictionary": "refine",
     "RefineResult": "refine",
     "mutual_nn_dictionary": "refine",

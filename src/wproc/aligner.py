@@ -14,26 +14,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import max_trace_matching, solve_lap
+from .assignment import max_trace_matching
 from .errors import ConfigError, DegenerateProjectionError, InvalidArgumentError
 from .linalg import OrthogonalMap, as_matrix, project_orthogonal
 from .rng import PortableRng
-from .sinkhorn import SinkhornConfig, sinkhorn_plan, transport_cost
+from .sinkhorn import SinkhornConfig, sinkhorn_plan
 
-__all__ = [
-    "AlignmentConfig",
-    "AlignmentState",
-    "align_step",
-    "align",
-    "estimate_objective",
-]
+__all__ = ["AlignmentConfig", "AlignmentState", "align_step", "align"]
 
 # Batch size above which the exact assignment gives way to Sinkhorn
 # under matcher="auto".
 _AUTO_EXACT_LIMIT = 512
-
-# Largest problem solved with an exact assignment in estimate_objective.
-_EXACT_EVAL_LIMIT = 2000
 
 
 @dataclass(frozen=True)
@@ -216,27 +207,3 @@ def align(
     return AlignmentState(
         q=state.q, iteration=state.iteration, loss_history=tuple(history)
     )
-
-
-def estimate_objective(x, y, q: OrthogonalMap, n_eval: int, matcher: str = "auto") -> float:
-    """Transport cost between the first n_eval rows of x @ Q and of y.
-
-    Exact assignment up to n_eval = 2000 (or with matcher="hungarian");
-    entropic plan beyond.  Returns the total squared-distance cost.
-    """
-    x = as_matrix(x, "x")
-    y = as_matrix(y, "y")
-    n = min(x.shape[0], y.shape[0])
-    if n_eval > n:
-        raise InvalidArgumentError(f"n_eval={n_eval} exceeds available rows {n}")
-    if n_eval < 1:
-        raise InvalidArgumentError("n_eval must be at least 1")
-    cost = _squared_distances(x[:n_eval] @ q.q, y[:n_eval])
-    use_exact = matcher == "hungarian" or (
-        matcher == "auto" and n_eval <= _EXACT_EVAL_LIMIT
-    )
-    if use_exact:
-        _, total = solve_lap(cost)
-        return total
-    plan = sinkhorn_plan(cost)
-    return n_eval * transport_cost(plan, cost)

@@ -271,12 +271,13 @@ def save_map(path, q: OrthogonalMap):
     """Write a map as a dimension line then d rows of d values.
 
     Values are written with 17 significant digits so the round trip is
-    exact for float64.
+    exact for float64, formatted a row at a time.
     """
+    fmt = " ".join(["%.17g"] * q.dim) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{q.dim}\n")
         for row in q.q:
-            fh.write(" ".join("%.17g" % v for v in row) + "\n")
+            fh.write(fmt % tuple(row.tolist()))
 
 
 # A stored map passes its load check when ||q'q - I||_F is within this.
@@ -284,7 +285,7 @@ _MAP_LOAD_ATOL = 1e-6
 
 
 def load_map(path) -> OrthogonalMap:
-    """Read a stored map, checking orthogonality (1e-6) on load."""
+    """Read a stored map, checking on load that it is finite and orthogonal (1e-6)."""
     with _open_text(path) as fh:
         header = fh.readline()
         try:
@@ -303,6 +304,11 @@ def load_map(path) -> OrthogonalMap:
                 m[i] = [float(v) for v in vals]
             except ValueError:
                 raise ParseError("unparseable numeric value", line=i + 2) from None
+    bad = np.flatnonzero(~np.isfinite(m).all(axis=1))
+    if bad.size:
+        raise IntegrityError(
+            f"line {int(bad[0]) + 2}: stored map has a non-finite entry"
+        )
     err = float(np.linalg.norm(m.T @ m - np.eye(d)))
     if err > _MAP_LOAD_ATOL:
         raise IntegrityError(

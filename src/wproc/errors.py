@@ -4,6 +4,12 @@ Every error raised by the library derives from :class:`WprocError` so callers
 (and the CLI) can map failures to exit codes without matching on strings.
 """
 
+__all__ = [
+    "WprocError", "InvalidInputError", "InvalidArgumentError", "ConfigError",
+    "DegenerateProjectionError", "DegenerateFitError", "ParseError",
+    "IntegrityError", "EmptyResultError",
+]
+
 
 class WprocError(Exception):
     """Base class for all library errors."""

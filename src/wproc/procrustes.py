@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DegenerateFitError, InvalidArgumentError
 from .linalg import OrthogonalMap, as_matrix, svd
 
-__all__ = ["OrthogonalMap", "fit_orthogonal", "residual"]
+__all__ = ["fit_orthogonal"]
 
 # Relative cutoff deciding when a singular value of x'y counts as zero.
 _RANK_RTOL = 1e-12
@@ -60,17 +60,3 @@ def fit_orthogonal(x, y) -> OrthogonalMap:
             "orthogonal map is not unique"
         )
     return OrthogonalMap(q=r.u @ r.v.T)
-
-
-def residual(x, y, q: OrthogonalMap) -> float:
-    """Squared Frobenius residual ||x @ Q - y||_F^2."""
-    x = as_matrix(x, "x")
-    y = as_matrix(y, "y")
-    if x.shape != y.shape:
-        raise InvalidArgumentError(f"shape mismatch: x {x.shape} vs y {y.shape}")
-    if x.shape[1] != q.dim:
-        raise InvalidArgumentError(
-            f"map dimension {q.dim} does not match data dimension {x.shape[1]}"
-        )
-    diff = x @ q.q - y
-    return float((diff * diff).sum())

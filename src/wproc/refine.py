@@ -99,7 +99,7 @@ def mutual_nn_dictionary(
     col_best = np.full(nt, -np.inf)
     bwd = np.zeros(nt, dtype=np.int64)
     for lo, hi, s in _scored_blocks(xs, ys, KIND_CSLS, k, cfg.isf_beta,
-                                    cfg.block_size, ("source", "target")):
+                                    ("source", "target")):
         fwd[lo:hi] = np.argmax(s, axis=1)
         blk_best = s.max(axis=0)
         update = blk_best > col_best

@@ -7,8 +7,10 @@ endpoints to their cross-set nearest neighbors, demoting points that are
 close to everything.  Inverted softmax normalizes a target's affinity
 over the whole query set, so a hub's mass is spread thin.
 
-Score matrices are computed in query blocks so peak memory stays
-bounded at block_size x candidate_cap.
+Score matrices are computed in blocks of _BLOCK_SIZE query rows, so
+peak memory stays bounded at _BLOCK_SIZE x candidate_cap.  This blocked
+engine is the only scorer; the dense reference formulas live with the
+tests.
 """
 
 from __future__ import annotations
@@ -20,20 +22,16 @@ import numpy as np
 from .errors import InvalidArgumentError, InvalidInputError
 from .linalg import as_matrix
 
-__all__ = [
-    "RetrievalConfig",
-    "NeighborTable",
-    "cosine_scores",
-    "csls_scores",
-    "isf_scores",
-    "retrieve",
-]
+__all__ = ["RetrievalConfig", "NeighborTable", "retrieve"]
 
 KIND_NN = "nn"
 KIND_CSLS = "csls"
 KIND_ISF = "isf"
 
 _UNIT_NORM_ATOL = 1e-6
+
+# Query rows per score block.
+_BLOCK_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -48,7 +46,6 @@ class RetrievalConfig:
     csls_k: int = 10
     isf_beta: float = 25.0
     candidate_cap: int = 200000
-    block_size: int = 1024
 
     def __post_init__(self):
         if self.kind not in (KIND_NN, KIND_CSLS, KIND_ISF):
@@ -61,8 +58,6 @@ class RetrievalConfig:
             raise InvalidArgumentError("isf_beta must be positive")
         if self.candidate_cap < 1:
             raise InvalidArgumentError("candidate_cap must be at least 1")
-        if self.block_size < 1:
-            raise InvalidArgumentError("block_size must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -117,12 +112,6 @@ def _as_pair(queries, targets):
     return q, t
 
 
-def cosine_scores(queries, targets) -> np.ndarray:
-    """Pairwise cosine similarities, entry (i, j) for query i, target j."""
-    q, t = _as_pair(queries, targets)
-    return _unit_rows(q, "query") @ _unit_rows(t, "target").T
-
-
 def _top_k_row_means(scores: np.ndarray, k: int) -> np.ndarray:
     """Mean of the k largest entries of each row."""
     n = scores.shape[1]
@@ -130,26 +119,6 @@ def _top_k_row_means(scores: np.ndarray, k: int) -> np.ndarray:
         return scores.mean(axis=1)
     part = np.partition(scores, n - k, axis=1)[:, n - k :]
     return part.mean(axis=1)
-
-
-def csls_scores(queries, targets, k: int) -> np.ndarray:
-    """Locally rescaled cosine: 2 cos(i,j) - R_t(i) - R_q(j).
-
-    R_t(i) is the mean cosine of query i to its k nearest targets and
-    R_q(j) the mean cosine of target j to its k nearest queries, so
-    points that are near everything get penalized in proportion.
-    """
-    cos = cosine_scores(queries, targets)
-    nq, nt = cos.shape
-    if k < 1:
-        raise InvalidArgumentError("k must be at least 1")
-    if k > nt or k > nq:
-        raise InvalidArgumentError(
-            f"k={k} exceeds set sizes (queries {nq}, targets {nt})"
-        )
-    r_t = _top_k_row_means(cos, k)
-    r_q = _top_k_row_means(cos.T, k)
-    return 2.0 * cos - r_t[:, None] - r_q[None, :]
 
 
 def _check_unit(x: np.ndarray, side: str):
@@ -160,24 +129,6 @@ def _check_unit(x: np.ndarray, side: str):
         raise InvalidInputError(
             f"{side} row {i} is not unit-normalized (norm {norms[i]:.6f})"
         )
-
-
-def isf_scores(queries, targets, beta: float) -> np.ndarray:
-    """Inverted softmax: exp(beta q_i.t_j) normalized over the query set.
-
-    Each column is a probability distribution over queries; a target
-    close to many queries yields small individual entries.
-    Requires unit-normalized inputs.
-    """
-    q, t = _as_pair(queries, targets)
-    if not beta > 0.0:
-        raise InvalidArgumentError("beta must be positive")
-    _check_unit(q, "query")
-    _check_unit(t, "target")
-    z = beta * (q @ t.T)
-    z = z - z.max(axis=0)
-    e = np.exp(z)
-    return e / e.sum(axis=0)
 
 
 def _select_top(scores: np.ndarray, topk: int):
@@ -211,14 +162,14 @@ def _select_top(scores: np.ndarray, topk: int):
     return idx, -vals
 
 
-def _cos_blocks(qn: np.ndarray, tn: np.ndarray, size: int):
+def _cos_blocks(qn: np.ndarray, tn: np.ndarray):
     """Yield (lo, hi, cosines of query rows lo:hi against every target)."""
-    for lo in range(0, qn.shape[0], size):
-        hi = min(lo + size, qn.shape[0])
+    for lo in range(0, qn.shape[0], _BLOCK_SIZE):
+        hi = min(lo + _BLOCK_SIZE, qn.shape[0])
         yield lo, hi, qn[lo:hi] @ tn.T
 
 
-def _scored_blocks(q, t, kind: str, k: int, beta: float, block_size: int,
+def _scored_blocks(q, t, kind: str, k: int, beta: float,
                    sides=("query", "target")):
     """Yield (lo, hi, scores of query rows lo:hi against every target).
 
@@ -234,7 +185,7 @@ def _scored_blocks(q, t, kind: str, k: int, beta: float, block_size: int,
     if kind == KIND_CSLS:
         # Running per-target top-k cosine buffer across query blocks.
         buf = np.full((0, tn.shape[0]), -np.inf)
-        for _, _, cos in _cos_blocks(qn, tn, block_size):
+        for _, _, cos in _cos_blocks(qn, tn):
             buf = np.concatenate([buf, cos], axis=0)
             if buf.shape[0] > k:
                 buf = -np.partition(-buf, k - 1, axis=0)[:k]
@@ -244,14 +195,14 @@ def _scored_blocks(q, t, kind: str, k: int, beta: float, block_size: int,
         _check_unit(q, sides[0])
         _check_unit(t, sides[1])
         col_lse = np.full(tn.shape[0], -np.inf)
-        for _, _, z in _cos_blocks(qn, tn, block_size):
+        for _, _, z in _cos_blocks(qn, tn):
             z *= beta
             m = np.maximum(col_lse, z.max(axis=0))
             z -= m
             np.exp(z, out=z)
             col_lse = np.log(np.exp(col_lse - m) + z.sum(axis=0)) + m
 
-    for lo, hi, s in _cos_blocks(qn, tn, block_size):
+    for lo, hi, s in _cos_blocks(qn, tn):
         # In place on the fresh cosine block, in the order of
         # 2 cos - r_t - r_q and exp(beta cos - lse), so no score moves.
         if kind == KIND_CSLS:
@@ -286,7 +237,6 @@ def retrieve(queries, targets, cfg: RetrievalConfig | None = None, topk: int = 1
         )
     out_idx = np.empty((nq, topk), dtype=np.int64)
     out_sc = np.empty((nq, topk))
-    for lo, hi, s in _scored_blocks(q, t, cfg.kind, cfg.csls_k, cfg.isf_beta,
-                                    cfg.block_size):
+    for lo, hi, s in _scored_blocks(q, t, cfg.kind, cfg.csls_k, cfg.isf_beta):
         out_idx[lo:hi], out_sc[lo:hi] = _select_top(s, topk)
     return NeighborTable(indices=out_idx, scores=out_sc)

@@ -15,17 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assignment import Permutation, solve_lap
 from .errors import InvalidArgumentError
 from .linalg import as_matrix
 
-__all__ = [
-    "SinkhornConfig",
-    "TransportPlan",
-    "sinkhorn_plan",
-    "plan_to_matching",
-    "transport_cost",
-]
+__all__ = ["SinkhornConfig", "TransportPlan", "sinkhorn_plan"]
 
 # Above this value of span(cost)/epsilon the plain kernel underflows
 # badly enough that the log-domain path is required.
@@ -297,17 +290,3 @@ def sinkhorn_plan(cost: np.ndarray, cfg: SinkhornConfig | None = None) -> Transp
         if result is not None:
             return result
     return _sinkhorn_log(c, eps, cfg)
-
-
-def plan_to_matching(plan: TransportPlan) -> Permutation:
-    """Round a coupling to the permutation with maximal plan mass."""
-    perm, _ = solve_lap(-plan.weights)
-    return perm
-
-
-def transport_cost(plan: TransportPlan, cost: np.ndarray) -> float:
-    """Total cost moved by the plan, sum_ij plan_ij * cost_ij."""
-    c = as_matrix(cost, "cost")
-    if c.shape != plan.weights.shape:
-        raise InvalidArgumentError("cost and plan shapes differ")
-    return float((plan.weights * c).sum())

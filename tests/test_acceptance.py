@@ -17,6 +17,8 @@ import numpy as np
 import pytest
 
 import wproc
+import wproc.retrieval as retrieval_mod
+from oracles import retrieved_scores
 from wproc.aligner import AlignmentConfig, AlignmentState, align, align_step
 from wproc.assignment import max_trace_matching, solve_lap
 from wproc.data_io import synth_generate
@@ -31,9 +33,9 @@ from wproc.qap_init import (
     fw_objective,
     fw_solve,
 )
-from wproc.retrieval import csls_scores, isf_scores
+from wproc.retrieval import RetrievalConfig, retrieve
 from wproc.rng import PortableRng
-from wproc.sinkhorn import SinkhornConfig, sinkhorn_plan, transport_cost
+from wproc.sinkhorn import SinkhornConfig, sinkhorn_plan
 
 from test_assignment import brute_force_lap
 
@@ -76,7 +78,7 @@ def test_criterion_02_sinkhorn_tracks_exact_assignment():
         eps = 0.001 * float(np.median(cost))
         plan = sinkhorn_plan(cost, SinkhornConfig(epsilon=eps))
         _, opt = solve_lap(cost)
-        rel = abs(50.0 * transport_cost(plan, cost) - opt) / opt
+        rel = abs(50.0 * float((plan.weights * cost).sum()) - opt) / opt
         worst_rel = max(worst_rel, rel)
         worst_marginal = max(worst_marginal, plan.marginal_error)
     elapsed = time.perf_counter() - t0
@@ -264,7 +266,7 @@ def test_criterion_07_convex_init_beats_random_init():
               f"over 5 seeds")
 
 
-def test_criterion_08_retrieval_scorers_match_naive():
+def test_criterion_08_retrieval_scorers_match_naive(monkeypatch):
     rng = np.random.default_rng(808)
     q = rng.standard_normal((50, 8))
     t = rng.standard_normal((30, 8))
@@ -279,24 +281,31 @@ def test_criterion_08_retrieval_scorers_match_naive():
     for i in range(50):
         for j in range(30):
             naive_csls[i, j] = 2.0 * cos[i, j] - r_q[i] - r_t[j]
-    err_csls = float(np.abs(csls_scores(q, t, k) - naive_csls).max())
-    assert err_csls <= 1e-12, f"csls deviation {err_csls:.2e}"
 
     beta = 25.0
     naive_isf = np.empty_like(cos)
     for j in range(30):
         w = np.exp(beta * cos[:, j])
         naive_isf[:, j] = w / w.sum()
-    got_isf = isf_scores(q, t, beta)
-    err_isf = float(np.abs(got_isf - naive_isf).max())
+
+    # The scores retrieve ranks, read in full, in one block and in blocks
+    # of 7 queries.
+    err_csls = err_isf = col_err = 0.0
+    for size in (1024, 7):
+        monkeypatch.setattr(retrieval_mod, "_BLOCK_SIZE", size)
+        got_csls = retrieved_scores(q, t, RetrievalConfig(kind="csls", csls_k=k))
+        err_csls = max(err_csls, float(np.abs(got_csls - naive_csls).max()))
+        got_isf = retrieved_scores(q, t, RetrievalConfig(kind="isf", isf_beta=beta))
+        err_isf = max(err_isf, float(np.abs(got_isf - naive_isf).max()))
+        col_err = max(col_err, float(np.abs(got_isf.sum(axis=0) - 1.0).max()))
+    assert err_csls <= 1e-12, f"csls deviation {err_csls:.2e}"
     assert err_isf <= 1e-12, f"isf deviation {err_isf:.2e}"
-    col_err = float(np.abs(got_isf.sum(axis=0) - 1.0).max())
     assert col_err <= 1e-12, f"isf column sums off by {col_err:.2e}"
 
-    single = csls_scores(q[:1], t[:1], 1)
-    assert single[0, 0] == 0.0
+    single = retrieve(q[:1], t[:1], RetrievalConfig(kind="csls", csls_k=1))
+    assert single.scores[0, 0] == 0.0
     report(8, f"csls err {err_csls:.2e}, isf err {err_isf:.2e}, "
-              f"column sums {col_err:.2e}, singleton exact")
+              f"column sums {col_err:.2e}, singleton exact, via retrieve")
 
 
 def test_criterion_09_accuracy_and_cost_grow_with_batch_size():

@@ -4,21 +4,14 @@ import numpy as np
 import pytest
 
 import wproc.aligner as aligner_mod
-from wproc.aligner import (
-    AlignmentConfig,
-    AlignmentState,
-    align,
-    align_step,
-    estimate_objective,
-)
-from wproc.assignment import max_trace_matching, solve_lap
+from wproc.aligner import AlignmentConfig, AlignmentState, align, align_step
+from wproc.assignment import max_trace_matching
 from wproc.errors import (
     ConfigError,
     DegenerateProjectionError,
     InvalidArgumentError,
 )
 from wproc.linalg import OrthogonalMap, project_orthogonal
-from wproc.procrustes import fit_orthogonal
 from wproc.rng import PortableRng
 from wproc.sinkhorn import SinkhornConfig, sinkhorn_plan
 
@@ -231,38 +224,3 @@ def test_degenerate_update_names_iteration(monkeypatch):
         align_step(x, x, AlignmentState(q=OrthogonalMap(q=np.eye(3)),
                                         iteration=6), cfg)
     assert "iteration 7" in str(err.value)
-
-
-def test_estimate_objective_exact_path():
-    rng = np.random.default_rng(9)
-    x = rng.standard_normal((30, 4))
-    r = random_orthogonal(rng, 4)
-    y = x @ r
-    q = fit_orthogonal(x, y)
-    # Squared distances cancel two O(1) terms, leaving 1e-15-scale noise
-    # per entry even at a perfect fit.
-    assert estimate_objective(x, y, q, 30) < 1e-12
-    q_bad = OrthogonalMap(q=np.eye(4))
-    xq = x @ q_bad.q
-    d2 = (xq * xq).sum(1)[:, None] + (y * y).sum(1)[None, :] - 2 * (xq @ y.T)
-    _, want = solve_lap(np.maximum(d2, 0.0))
-    assert estimate_objective(x, y, q_bad, 30) == pytest.approx(want, rel=1e-12)
-
-
-def test_estimate_objective_sinkhorn_path_upper_bounds_exact():
-    rng = np.random.default_rng(10)
-    x = rng.standard_normal((40, 3))
-    y = rng.standard_normal((40, 3))
-    q = OrthogonalMap(q=np.eye(3))
-    exact = estimate_objective(x, y, q, 40, matcher="hungarian")
-    soft = estimate_objective(x, y, q, 40, matcher="sinkhorn")
-    assert soft >= exact - 1e-9
-
-
-def test_estimate_objective_bounds():
-    x = np.eye(3)
-    q = OrthogonalMap(q=np.eye(3))
-    with pytest.raises(InvalidArgumentError):
-        estimate_objective(x, x, q, 4)
-    with pytest.raises(InvalidArgumentError):
-        estimate_objective(x, x, q, 0)

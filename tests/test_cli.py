@@ -274,6 +274,18 @@ def test_exit_parse_on_tampered_map(inst, tmp_path):
                "--out", tmp_path / "o") == 2
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_exit_parse_on_non_finite_map(inst, tmp_path, value):
+    with open(inst["map"], encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    lines[2] = " ".join([value] + lines[2].split()[1:])
+    broken = tmp_path / "broken.map"
+    broken.write_text("\n".join(lines) + "\n")
+    assert run("translate", inst["src"], inst["tgt"], "--map", broken,
+               "--out", tmp_path / "o") == 2
+
+
 def test_exit_parse_on_manifest_without_argv(tmp_path):
     m = tmp_path / "m.json"
     m.write_text(json.dumps({"command": "synth"}))

@@ -351,6 +351,30 @@ def test_load_map_orthogonality_tolerance_is_1e6(tmp_path, delta, loads):
             load_map(p)
 
 
+def test_save_map_bytes_equal_per_value_formatting(tmp_path):
+    awkward = [-0.0, 5e-324, 2.2250738585072014e-308, 1e-300,
+               0.12345678901234567, -0.70710678118654746, 1.0000000000000002]
+    m = np.array([awkward, awkward[::-1],
+                  np.random.default_rng(3).standard_normal(len(awkward))])
+    # save_map reads only these fields; an OrthogonalMap would refuse m.
+    q = SimpleNamespace(dim=len(awkward), q=m)
+    p = tmp_path / "q.map"
+    save_map(str(p), q)
+    want = f"{len(awkward)}\n" + "".join(
+        " ".join("%.17g" % v for v in row) + "\n" for row in m)
+    assert p.read_bytes() == want.encode("utf-8")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_load_map_rejects_non_finite_entries(tmp_path, value):
+    p = write(tmp_path / "q.map", f"3\n1 0 0\n0 {value} 0\n0 0 1\n")
+    with pytest.raises(IntegrityError) as err:
+        load_map(p)
+    assert "line 3" in str(err.value)
+    assert "non-finite" in str(err.value)
+
+
 def test_load_map_parse_errors(tmp_path):
     p = write(tmp_path / "q.map", "x\n")
     with pytest.raises(ParseError):

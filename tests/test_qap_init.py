@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from wproc.assignment import solve_lap
 from wproc.errors import InvalidArgumentError
 from wproc.qap_init import (
     FwConfig,
@@ -13,7 +14,6 @@ from wproc.qap_init import (
     fw_objective,
     fw_solve,
 )
-from wproc.sinkhorn import plan_to_matching
 
 
 def random_orthogonal(rng, d):
@@ -107,7 +107,7 @@ def test_noise_free_recovery():
     x, y, perm, r = isomorphic_instance(rng, 60, 8)
     g = build_grams(x, y, 60)
     plan, trace = fw_solve(g, FwConfig(max_iters=120))
-    got = plan_to_matching(plan)
+    got, _ = solve_lap(-plan.weights)
     # Plan rows couple x indices to y indices; truth maps x row perm[k]
     # to y row k.
     want = np.empty(60, dtype=np.int64)

@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 
 import wproc.refine as refine_mod
+import wproc.retrieval as retrieval_mod
+from oracles import cosine_scores, csls_scores, unit
 from wproc.errors import EmptyResultError, InvalidArgumentError
 from wproc.linalg import OrthogonalMap, project_orthogonal
 from wproc.refine import RefineResult, SeedDictionary, mutual_nn_dictionary, refine
-from wproc.retrieval import RetrievalConfig, cosine_scores, csls_scores
+from wproc.retrieval import RetrievalConfig
 
 
 def random_orthogonal(rng, d):
     q, r = np.linalg.qr(rng.standard_normal((d, d)))
     return q * np.sign(np.diag(r))
-
-
-def unit(x):
-    return x / np.linalg.norm(x, axis=1)[:, None]
 
 
 def mutual_pairs(s):
@@ -40,11 +38,12 @@ def test_seed_dictionary_validation():
         SeedDictionary(pairs=((-1, 0),))
 
 
-def test_mutual_dictionary_matches_naive_full_matrix():
+def test_mutual_dictionary_matches_naive_full_matrix(monkeypatch):
+    monkeypatch.setattr(retrieval_mod, "_BLOCK_SIZE", 13)
     rng = np.random.default_rng(0)
     xs = unit(rng.standard_normal((60, 8)))
     ys = unit(rng.standard_normal((45, 8)))
-    cfg = RetrievalConfig(csls_k=5, block_size=13)
+    cfg = RetrievalConfig(csls_k=5)
     d = mutual_nn_dictionary(xs, ys, cfg)
     assert sorted(d.pairs) == sorted(naive_mutual_pairs(xs, ys, 5))
 
@@ -74,37 +73,40 @@ def test_candidate_cap_restricts_both_sides():
     assert sorted(d.pairs) == sorted(naive_mutual_pairs(xs[:12], ys[:12], 3))
 
 
-def test_csls_k_is_clamped_to_set_sizes():
+def test_csls_k_is_clamped_to_set_sizes(monkeypatch):
     # Unlike retrieve, dictionary induction clamps csls_k to the smaller
     # set instead of raising.  On this seed the unclamped row penalty
     # (mean over all 8 targets) loses a pair.
+    monkeypatch.setattr(retrieval_mod, "_BLOCK_SIZE", 4)
     rng = np.random.default_rng(3)
     xs = unit(rng.standard_normal((6, 4)))
     ys = unit(rng.standard_normal((8, 4)))
-    d = mutual_nn_dictionary(xs, ys, RetrievalConfig(csls_k=10, block_size=4))
+    d = mutual_nn_dictionary(xs, ys, RetrievalConfig(csls_k=10))
     assert sorted(d.pairs) == sorted(naive_mutual_pairs(xs, ys, 6))
 
 
-def test_duplicate_sources_across_blocks_pair_lowest_index():
+def test_duplicate_sources_across_blocks_pair_lowest_index(monkeypatch):
     # Sources 1 and 4 are the same point and sit in different blocks;
     # the target they share must pair with source 1.
     rng = np.random.default_rng(8)
     base = unit(rng.standard_normal((5, 4)))
     xs = base[[0, 1, 2, 3, 1, 4]]
-    d = mutual_nn_dictionary(xs, base, RetrievalConfig(csls_k=2, block_size=2))
+    monkeypatch.setattr(retrieval_mod, "_BLOCK_SIZE", 2)
+    d = mutual_nn_dictionary(xs, base, RetrievalConfig(csls_k=2))
     assert (1, 1) in d.pairs
     assert 4 not in d.sources.tolist()
     assert sorted(d.pairs) == sorted(naive_mutual_pairs(xs, base, 2))
 
 
-def test_dictionary_uses_csls_whatever_the_kind():
+def test_dictionary_uses_csls_whatever_the_kind(monkeypatch):
+    monkeypatch.setattr(retrieval_mod, "_BLOCK_SIZE", 7)
     rng = np.random.default_rng(0)
     xs = unit(rng.standard_normal((30, 4)))
     ys = unit(rng.standard_normal((25, 4)))
     want = sorted(naive_mutual_pairs(xs, ys, 3))
     assert want != sorted(mutual_pairs(cosine_scores(xs, ys)))
     for kind in ("nn", "isf"):
-        cfg = RetrievalConfig(kind=kind, csls_k=3, block_size=7)
+        cfg = RetrievalConfig(kind=kind, csls_k=3)
         assert sorted(mutual_nn_dictionary(xs, ys, cfg).pairs) == want
 
 

@@ -1,22 +1,12 @@
-"""Retrieval scorers against naive full-matrix oracles."""
+"""The blocked retrieval engine against naive full-matrix oracles."""
 
 import numpy as np
 import pytest
 
+import wproc.retrieval as retrieval_mod
+from oracles import retrieved_scores, unit
 from wproc.errors import InvalidArgumentError, InvalidInputError
-from wproc.retrieval import (
-    NeighborTable,
-    RetrievalConfig,
-    cosine_scores,
-    _select_top,
-    csls_scores,
-    isf_scores,
-    retrieve,
-)
-
-
-def unit(x):
-    return x / np.linalg.norm(x, axis=1)[:, None]
+from wproc.retrieval import NeighborTable, RetrievalConfig, _select_top, retrieve
 
 
 def naive_cosine(q, t):
@@ -41,34 +31,47 @@ def naive_isf(q, t, beta):
     return e / e.sum(axis=0)
 
 
-def test_cosine_matches_naive():
+# The default block size, and one that splits 20 queries into 3 blocks.
+BLOCK_SIZES = (1024, 7)
+
+
+def test_cosine_matches_naive(monkeypatch):
     rng = np.random.default_rng(0)
     q = rng.standard_normal((20, 6))
     t = rng.standard_normal((15, 6))
-    assert np.abs(cosine_scores(q, t) - naive_cosine(q, t)).max() < 1e-12
+    for size in BLOCK_SIZES:
+        monkeypatch.setattr(retrieval_mod, "_BLOCK_SIZE", size)
+        got = retrieved_scores(q, t, RetrievalConfig(kind="nn"))
+        assert np.abs(got - naive_cosine(q, t)).max() < 1e-12
 
 
-def test_csls_matches_naive():
+def test_csls_matches_naive(monkeypatch):
     rng = np.random.default_rng(1)
     q = rng.standard_normal((20, 5))
     t = rng.standard_normal((15, 5))
-    for k in (1, 3, 10, 15):
-        assert np.abs(csls_scores(q, t, k) - naive_csls(q, t, k)).max() < 1e-12
+    for size in BLOCK_SIZES:
+        monkeypatch.setattr(retrieval_mod, "_BLOCK_SIZE", size)
+        for k in (1, 3, 10, 15):
+            got = retrieved_scores(q, t, RetrievalConfig(kind="csls", csls_k=k))
+            assert np.abs(got - naive_csls(q, t, k)).max() < 1e-12
 
 
-def test_isf_matches_naive_and_normalizes():
+def test_isf_matches_naive_and_normalizes(monkeypatch):
     rng = np.random.default_rng(2)
     q = unit(rng.standard_normal((20, 5)))
     t = unit(rng.standard_normal((15, 5)))
-    got = isf_scores(q, t, 25.0)
-    assert np.abs(got - naive_isf(q, t, 25.0)).max() < 1e-12
-    assert np.allclose(got.sum(axis=0), 1.0, atol=1e-12)
+    for size in BLOCK_SIZES:
+        monkeypatch.setattr(retrieval_mod, "_BLOCK_SIZE", size)
+        got = retrieved_scores(q, t, RetrievalConfig(kind="isf", isf_beta=25.0))
+        assert np.abs(got - naive_isf(q, t, 25.0)).max() < 1e-12
+        assert np.allclose(got.sum(axis=0), 1.0, atol=1e-12)
 
 
 def test_csls_singleton_is_exactly_zero():
     q = np.array([[0.6, 0.8]])
     t = np.array([[3.0, -4.0]])
-    assert csls_scores(q, t, 1)[0, 0] == 0.0
+    table = retrieve(q, t, RetrievalConfig(kind="csls", csls_k=1))
+    assert table.scores[0, 0] == 0.0
 
 
 def test_csls_penalizes_hub():
@@ -100,22 +103,25 @@ def test_nn_invariant_to_row_scaling():
     assert np.array_equal(a.indices, b.indices)
 
 
-def test_blocked_equals_full_matrix():
+def test_blocked_equals_full_matrix(monkeypatch):
     rng = np.random.default_rng(4)
     q = unit(rng.standard_normal((40, 6)))
     t = unit(rng.standard_normal((25, 6)))
     for kind in ("nn", "csls", "isf"):
-        small = retrieve(q, t, RetrievalConfig(kind=kind, block_size=7), topk=4)
-        big = retrieve(q, t, RetrievalConfig(kind=kind, block_size=4096), topk=4)
+        monkeypatch.setattr(retrieval_mod, "_BLOCK_SIZE", 7)
+        small = retrieve(q, t, RetrievalConfig(kind=kind), topk=4)
+        monkeypatch.setattr(retrieval_mod, "_BLOCK_SIZE", 4096)
+        big = retrieve(q, t, RetrievalConfig(kind=kind), topk=4)
         assert np.array_equal(small.indices, big.indices)
         assert np.abs(small.scores - big.scores).max() < 1e-12
 
 
-def test_retrieve_selects_naive_argmax():
+def test_retrieve_selects_naive_argmax(monkeypatch):
+    monkeypatch.setattr(retrieval_mod, "_BLOCK_SIZE", 8)
     rng = np.random.default_rng(5)
     q = unit(rng.standard_normal((30, 5)))
     t = unit(rng.standard_normal((20, 5)))
-    table = retrieve(q, t, RetrievalConfig(kind="csls", csls_k=4, block_size=8))
+    table = retrieve(q, t, RetrievalConfig(kind="csls", csls_k=4))
     want = naive_csls(q, t, 4).argmax(axis=1)
     assert np.array_equal(table.indices[:, 0], want)
 
@@ -169,18 +175,14 @@ def test_input_validation():
     q = np.ones((3, 2))
     t = np.ones((4, 2))
     with pytest.raises(InvalidInputError) as err:
-        cosine_scores(np.array([[0.0, 0.0], [1.0, 0.0]]), t)
+        retrieve(np.array([[0.0, 0.0], [1.0, 0.0]]), t, RetrievalConfig(kind="nn"))
     assert "query row 0" in str(err.value)
     with pytest.raises(InvalidArgumentError):
-        csls_scores(q, t, 0)
-    with pytest.raises(InvalidArgumentError):
-        csls_scores(q, t, 5)
-    with pytest.raises(InvalidArgumentError):
-        isf_scores(unit(q), unit(t), 0.0)
+        retrieve(q, t, RetrievalConfig(kind="csls", csls_k=5))
     with pytest.raises(InvalidInputError):
-        isf_scores(2.0 * unit(q), unit(t), 1.0)
+        retrieve(2.0 * unit(q), unit(t), RetrievalConfig(kind="isf", isf_beta=1.0))
     with pytest.raises(InvalidArgumentError):
-        cosine_scores(np.ones((3, 2)), np.ones((3, 3)))
+        retrieve(np.ones((3, 2)), np.ones((3, 3)), RetrievalConfig(kind="nn"))
     with pytest.raises(InvalidArgumentError):
         retrieve(q, t, RetrievalConfig(kind="nn"), topk=5)
 
@@ -204,9 +206,8 @@ def test_config_validation():
         RetrievalConfig(kind="dot")
     with pytest.raises(InvalidArgumentError):
         RetrievalConfig(csls_k=0)
-    with pytest.raises(InvalidArgumentError):
-        RetrievalConfig(isf_beta=-1.0)
+    for beta in (0.0, -1.0):
+        with pytest.raises(InvalidArgumentError):
+            RetrievalConfig(isf_beta=beta)
     with pytest.raises(InvalidArgumentError):
         RetrievalConfig(candidate_cap=0)
-    with pytest.raises(InvalidArgumentError):
-        RetrievalConfig(block_size=0)

@@ -6,13 +6,7 @@ import pytest
 import wproc.sinkhorn as sinkhorn
 from wproc.assignment import solve_lap
 from wproc.errors import InvalidArgumentError
-from wproc.sinkhorn import (
-    SinkhornConfig,
-    TransportPlan,
-    plan_to_matching,
-    sinkhorn_plan,
-    transport_cost,
-)
+from wproc.sinkhorn import SinkhornConfig, TransportPlan, sinkhorn_plan
 
 
 def random_cost(rng, b, scale=10.0):
@@ -72,7 +66,7 @@ def test_small_epsilon_approaches_assignment():
     plan = sinkhorn_plan(cost, SinkhornConfig(epsilon=eps, max_iters=2000))
     assert plan.converged
     _, lap_total = solve_lap(cost)
-    got = plan.size * transport_cost(plan, cost)
+    got = plan.size * float((plan.weights * cost).sum())
     assert got <= lap_total * 1.01
     # Entropic cost cannot beat the unregularized optimum by more than
     # rounding noise.
@@ -113,13 +107,14 @@ def test_adaptive_epsilon_is_median_based():
         sinkhorn_plan(np.zeros((3, 3)) - 1.0, SinkhornConfig())
 
 
-def test_plan_to_matching_on_sharp_plan():
+def test_sharp_plan_rounds_to_the_assignment():
     rng = np.random.default_rng(6)
     cost = random_cost(rng, 12)
     perm, _ = solve_lap(cost)
     plan = sinkhorn_plan(cost, SinkhornConfig(epsilon=0.001 * np.median(cost),
                                               max_iters=2000))
-    assert plan_to_matching(plan).mapping.tolist() == perm.mapping.tolist()
+    rounded, _ = solve_lap(-plan.weights)
+    assert rounded.mapping.tolist() == perm.mapping.tolist()
 
 
 def test_invariance_to_cost_offset():
@@ -137,9 +132,3 @@ def test_invariance_to_cost_offset():
 def test_rejects_non_square():
     with pytest.raises(InvalidArgumentError):
         sinkhorn_plan(np.ones((3, 4)), SinkhornConfig(epsilon=1.0))
-
-
-def test_transport_cost_shape_check():
-    plan = sinkhorn_plan(np.eye(3) + 1.0, SinkhornConfig(epsilon=1.0))
-    with pytest.raises(InvalidArgumentError):
-        transport_cost(plan, np.ones((4, 4)))
