@@ -18,7 +18,7 @@ from .assignment import max_trace_matching
 from .errors import ConfigError, DegenerateProjectionError, InvalidArgumentError
 from .linalg import OrthogonalMap, as_matrix, project_orthogonal
 from .rng import PortableRng
-from .sinkhorn import SinkhornConfig, sinkhorn_plan
+from .sinkhorn import sinkhorn_plan
 
 __all__ = ["AlignmentConfig", "AlignmentState", "align_step", "align"]
 
@@ -33,7 +33,9 @@ class AlignmentConfig:
 
     step_size multiplies the base step d / (2b); the matching gradient
     scales with the batch size, so normalizing by b keeps the effective
-    step stable across the doubling schedule.
+    step stable across the doubling schedule.  sinkhorn_eps is the
+    entropic regularization of Sinkhorn matching; None lets each plan
+    pick 0.05 * median(cost).
     """
 
     total_iters: int = 4000
@@ -41,7 +43,7 @@ class AlignmentConfig:
     batch_doubling: bool = True
     step_size: float = 1.0
     matcher: str = "auto"
-    sinkhorn: SinkhornConfig | None = None
+    sinkhorn_eps: float | None = None
     sample_pool: int | None = None
     rng_seed: int = 0
 
@@ -56,6 +58,8 @@ class AlignmentConfig:
             raise InvalidArgumentError(
                 f"matcher must be auto, hungarian or sinkhorn, got {self.matcher!r}"
             )
+        if self.sinkhorn_eps is not None and not self.sinkhorn_eps > 0.0:
+            raise InvalidArgumentError("sinkhorn_eps must be positive")
         if self.sample_pool is not None and self.sample_pool < 2:
             raise InvalidArgumentError("sample_pool must be at least 2")
 
@@ -114,7 +118,7 @@ def align_step(
         perm = max_trace_matching(xq @ y.T)
         matched = y[perm.mapping]
     else:
-        plan = sinkhorn_plan(_squared_distances(xq, y), cfg.sinkhorn)
+        plan = sinkhorn_plan(_squared_distances(xq, y), cfg.sinkhorn_eps)
         # scale the mass-1 plan to row sums 1 so it plays the role of
         # a (soft) permutation matrix
         matched = (b * plan.weights) @ y

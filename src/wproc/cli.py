@@ -127,6 +127,19 @@ def _write_csv(path, header, rows):
         w.writerows(rows)
 
 
+def _at_least_one(value, flag: str):
+    if value is not None and value < 1:
+        raise InvalidArgumentError(f"{flag} must be at least 1, got {value}")
+
+
+def _int_list(text: str, flag: str) -> list:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise InvalidArgumentError(
+            f"{flag} must be a comma list of integers, got {text!r}") from None
+
+
 def _load_pair(args):
     """Both embedding sets, preprocessed per the shared flags."""
     from .data_io import EmbeddingSet, load_vec
@@ -176,7 +189,7 @@ def _run_convex_init(args, xs, ys):
     grams = build_grams(xs, ys, m)
     plan, trace = fw_solve(grams, FwConfig(max_iters=args.fw_iters,
                                            gap_tol=args.fw_gap_tol))
-    return extract_q0(xs[:m], ys[:m], plan), plan, trace
+    return extract_q0(grams.x, grams.y, plan), plan, trace
 
 
 def cmd_init(args, run) -> int:
@@ -192,8 +205,9 @@ def cmd_init(args, run) -> int:
         _write_csv(trace_path, ["iter", "objective"],
                    ([i, "%.17g" % v] for i, v in enumerate(trace)))
     run.outputs += [args.out, trace_path]
+    status = "gap_tol met" if plan.converged else "stopped at the iteration cap"
     print(f"wrote {args.out} (fw iterations {plan.iterations}, "
-          f"objective {trace[0]:.6g} -> {trace[-1]:.6g})")
+          f"objective {trace[0]:.6g} -> {trace[-1]:.6g}, {status})")
     return EXIT_OK
 
 
@@ -214,7 +228,6 @@ def cmd_align(args, run) -> int:
     from .aligner import AlignmentConfig, align
     from .data_io import load_lexicon, save_map
     from .procrustes import fit_orthogonal
-    from .sinkhorn import SinkhornConfig
 
     with run.phase("load"):
         src, tgt = _load_pair(args)
@@ -234,20 +247,18 @@ def cmd_align(args, run) -> int:
         print(f"wrote {args.out} (supervised fit on {len(hits)} pairs)")
         return EXIT_OK
 
-    with run.phase("init"):
-        q0 = _initial_map(args, xs, ys)
-    sink = (None if args.sinkhorn_eps is None
-            else SinkhornConfig(epsilon=args.sinkhorn_eps))
     cfg = AlignmentConfig(
         total_iters=args.iters,
         batch_size_initial=args.batch_size,
         batch_doubling=not args.no_batch_doubling,
         step_size=args.lr,
         matcher=args.matcher,
-        sinkhorn=sink,
+        sinkhorn_eps=args.sinkhorn_eps,
         sample_pool=args.sample_pool,
         rng_seed=args.seed,
     )
+    with run.phase("init"):
+        q0 = _initial_map(args, xs, ys)
     with run.phase("align"):
         state = align(xs, ys, q0, cfg)
     with run.phase("write"):
@@ -265,14 +276,13 @@ def cmd_align(args, run) -> int:
 def cmd_refine(args, run) -> int:
     from .data_io import load_map, save_map
     from .refine import refine
-    from .retrieval import RetrievalConfig
 
     with run.phase("load"):
         src, tgt = _load_pair(args)
         q = load_map(args.map)
-    cfg = RetrievalConfig(kind="csls", csls_k=args.csls_k, candidate_cap=args.dict_cap)
     with run.phase("refine"):
-        result = refine(src.matrix, tgt.matrix, q, epochs=args.epochs, cfg=cfg)
+        result = refine(src.matrix, tgt.matrix, q, epochs=args.epochs,
+                        csls_k=args.csls_k, candidate_cap=args.dict_cap)
     log_path = args.out + ".epochs.csv"
     with run.phase("write"):
         save_map(args.out, result.q)
@@ -288,6 +298,7 @@ def cmd_translate(args, run) -> int:
     from .data_io import load_map
     from .retrieval import retrieve
 
+    _at_least_one(args.max_queries, "--max-queries")
     with run.phase("load"):
         src, tgt = _load_pair(args)
         q = load_map(args.map)
@@ -309,11 +320,11 @@ def cmd_eval(args, run) -> int:
     from .data_io import load_lexicon, load_map
     from .evaluation import evaluate_bli
 
+    ks = _int_list(args.ks, "--ks")
     with run.phase("load"):
         src, tgt = _load_pair(args)
         q = load_map(args.map)
         lex = load_lexicon(args.lexicon)
-    ks = tuple(int(k) for k in args.ks.split(","))
     with run.phase("evaluate"):
         report = evaluate_bli(src, tgt, q, lex, _retrieval_config(args), ks=ks)
     with open(args.out, "w", encoding="utf-8") as fh:
@@ -378,7 +389,8 @@ def cmd_bench_batch_size(args, run) -> int:
     from .linalg import project_orthogonal
     from .rng import PortableRng
 
-    sizes = [int(s) for s in args.sizes.split(",")]
+    sizes = _int_list(args.sizes, "--sizes")
+    _at_least_one(args.seeds, "--seeds")
     with run.phase("generate"):
         inst = synth_generate(args.n, args.d, args.sigma, args.seed)
     rows = []

@@ -309,12 +309,10 @@ def load_map(path) -> OrthogonalMap:
         raise IntegrityError(
             f"line {int(bad[0]) + 2}: stored map has a non-finite entry"
         )
-    err = float(np.linalg.norm(m.T @ m - np.eye(d)))
-    if err > _MAP_LOAD_ATOL:
-        raise IntegrityError(
-            f"stored map is not orthogonal: ||q'q - I||_F = {err:.3e}"
-        )
-    return OrthogonalMap(q=m, _ATOL=_MAP_LOAD_ATOL)
+    try:
+        return OrthogonalMap(q=m, _ATOL=_MAP_LOAD_ATOL)
+    except InvalidInputError as exc:
+        raise IntegrityError(f"stored map: {exc}") from None
 
 
 def load_lexicon(path) -> Lexicon:

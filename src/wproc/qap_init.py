@@ -14,7 +14,7 @@ orthogonal map exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,41 +24,40 @@ from .linalg import OrthogonalMap, as_matrix
 from .procrustes import fit_orthogonal
 from .sinkhorn import TransportPlan
 
-__all__ = [
-    "GramPair",
-    "FwConfig",
-    "build_grams",
-    "fw_objective",
-    "fw_gradient",
-    "fw_solve",
-    "extract_q0",
-]
+__all__ = ["GramPair", "FwConfig", "build_grams", "fw_solve", "extract_q0"]
 
-_SYM_ATOL = 1e-9
-_PSD_MIN_EIG = -1e-8
+
+def _gram(a: np.ndarray) -> np.ndarray:
+    k = a @ a.T
+    # dgemm output is not exactly symmetric; the relaxation assumes it.
+    return (k + k.T) / 2.0
 
 
 @dataclass(frozen=True)
 class GramPair:
-    """Gram matrices of the two subsets entering the relaxation."""
+    """The two m-row subsets entering the relaxation, and their Grams.
 
-    kx: np.ndarray
-    ky: np.ndarray
+    kx = x x' and ky = y y' are built once, when the pair is made.  As
+    Grams of point sets they are symmetric positive semidefinite, so no
+    check on them is needed.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    kx: np.ndarray = field(init=False, repr=False)
+    ky: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("kx", "ky"):
-            k = as_matrix(getattr(self, name), name)
-            if k.shape[0] != k.shape[1]:
-                raise InvalidArgumentError(f"{name} must be square, got {k.shape}")
-            if np.abs(k - k.T).max() > _SYM_ATOL:
-                raise InvalidArgumentError(f"{name} is not symmetric")
-            if np.linalg.eigvalsh(k)[0] < _PSD_MIN_EIG:
-                raise InvalidArgumentError(f"{name} is not positive semidefinite")
-            object.__setattr__(self, name, k)
-        if self.kx.shape != self.ky.shape:
+        x = as_matrix(self.x, "x")
+        y = as_matrix(self.y, "y")
+        if x.shape[0] != y.shape[0]:
             raise InvalidArgumentError(
-                f"size mismatch: kx {self.kx.shape} vs ky {self.ky.shape}"
+                f"row count mismatch: x {x.shape[0]} vs y {y.shape[0]}"
             )
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "kx", _gram(x))
+        object.__setattr__(self, "ky", _gram(y))
 
     @property
     def size(self) -> int:
@@ -94,24 +93,7 @@ def build_grams(x, y, m: int) -> GramPair:
         )
     if m < 1:
         raise InvalidArgumentError("m must be at least 1")
-    xm = x[:m]
-    ym = y[:m]
-    kx = xm @ xm.T
-    ky = ym @ ym.T
-    # dgemm output is not exactly symmetric; the type requires it.
-    return GramPair(kx=(kx + kx.T) / 2.0, ky=(ky + ky.T) / 2.0)
-
-
-def fw_objective(g: GramPair, p: np.ndarray) -> float:
-    """f(P) = ||Kx P - P Ky||_F^2."""
-    r = g.kx @ p - p @ g.ky
-    return float((r * r).sum())
-
-
-def fw_gradient(g: GramPair, p: np.ndarray) -> np.ndarray:
-    """Gradient of f: 2 (Kx (Kx P - P Ky) - (Kx P - P Ky) Ky)."""
-    r = g.kx @ p - p @ g.ky
-    return 2.0 * (g.kx @ r - r @ g.ky)
+    return GramPair(x[:m], y[:m])
 
 
 def fw_solve(g: GramPair, cfg: FwConfig | None = None):

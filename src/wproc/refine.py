@@ -16,7 +16,7 @@ import numpy as np
 from .errors import EmptyResultError, InvalidArgumentError
 from .linalg import OrthogonalMap, as_matrix
 from .procrustes import fit_orthogonal
-from .retrieval import KIND_CSLS, RetrievalConfig, _scored_blocks
+from .retrieval import KIND_CSLS, _scored_blocks
 
 __all__ = ["SeedDictionary", "RefineResult", "mutual_nn_dictionary", "refine"]
 
@@ -66,31 +66,32 @@ class RefineResult:
     status: str
 
 
-def default_refine_config() -> RetrievalConfig:
-    return RetrievalConfig(candidate_cap=_DICT_POOL_DEFAULT)
+def _check_counts(csls_k: int, candidate_cap: int):
+    if csls_k < 1:
+        raise InvalidArgumentError("csls_k must be at least 1")
+    if candidate_cap < 1:
+        raise InvalidArgumentError("candidate_cap must be at least 1")
 
 
 def mutual_nn_dictionary(
-    x_mapped, y, cfg: RetrievalConfig | None = None
+    x_mapped, y, csls_k: int = 10, candidate_cap: int = _DICT_POOL_DEFAULT
 ) -> SeedDictionary:
     """Pairs (i, j) that are each other's best match under CSLS.
 
-    Scored over the first candidate_cap rows of each set, always with
-    CSLS whatever cfg.kind says, and with csls_k clamped to both set
-    sizes.  The CSLS matrix is symmetric in its two penalty terms, so
-    the backward direction is its transpose and one matrix serves both
-    argmaxes.
+    Scored over the first candidate_cap rows of each set, with csls_k
+    clamped to both set sizes.  The CSLS matrix is symmetric in its two
+    penalty terms, so the backward direction is its transpose and one
+    matrix serves both argmaxes.
     """
-    if cfg is None:
-        cfg = default_refine_config()
-    xs = as_matrix(x_mapped, "mapped source")[: cfg.candidate_cap]
-    ys = as_matrix(y, "target")[: cfg.candidate_cap]
+    _check_counts(csls_k, candidate_cap)
+    xs = as_matrix(x_mapped, "mapped source")[:candidate_cap]
+    ys = as_matrix(y, "target")[:candidate_cap]
     if xs.shape[1] != ys.shape[1]:
         raise InvalidArgumentError(
             f"dimension mismatch: mapped source d={xs.shape[1]}, target d={ys.shape[1]}"
         )
     ns, nt = xs.shape[0], ys.shape[0]
-    k = min(cfg.csls_k, ns, nt)
+    k = min(csls_k, ns, nt)
 
     # Row argmax directly, column argmax as a running best.  Blocks
     # ascend and argmax takes the first maximum, so ties resolve to the
@@ -98,7 +99,7 @@ def mutual_nn_dictionary(
     fwd = np.empty(ns, dtype=np.int64)
     col_best = np.full(nt, -np.inf)
     bwd = np.zeros(nt, dtype=np.int64)
-    for lo, hi, s in _scored_blocks(xs, ys, KIND_CSLS, k, cfg.isf_beta,
+    for lo, hi, s in _scored_blocks(xs, ys, KIND_CSLS, k, None,
                                     ("source", "target")):
         fwd[lo:hi] = np.argmax(s, axis=1)
         blk_best = s.max(axis=0)
@@ -118,19 +119,20 @@ def refine(
     y,
     q: OrthogonalMap,
     epochs: int = 5,
-    cfg: RetrievalConfig | None = None,
+    csls_k: int = 10,
+    candidate_cap: int = _DICT_POOL_DEFAULT,
 ) -> RefineResult:
     """Alternate dictionary induction and Procrustes re-fitting.
 
     Each epoch builds the mutual-NN dictionary from x @ q against y and
-    replaces q by the orthogonal fit on the dictionary rows.  If an
-    epoch yields no pairs, the result so far is returned with status
+    replaces q by the orthogonal fit on the dictionary rows; csls_k and
+    candidate_cap are passed to mutual_nn_dictionary.  If an epoch
+    yields no pairs, the result so far is returned with status
     "empty-dictionary".
     """
     if epochs < 1:
         raise InvalidArgumentError("epochs must be at least 1")
-    if cfg is None:
-        cfg = default_refine_config()
+    _check_counts(csls_k, candidate_cap)
     x = as_matrix(x, "x")
     y = as_matrix(y, "y")
     if x.shape[1] != y.shape[1] or x.shape[1] != q.dim:
@@ -140,7 +142,7 @@ def refine(
     sizes = []
     for _ in range(epochs):
         try:
-            d = mutual_nn_dictionary(x @ q.q, y, cfg)
+            d = mutual_nn_dictionary(x @ q.q, y, csls_k, candidate_cap)
         except EmptyResultError:
             return RefineResult(q=q, dictionary_sizes=tuple(sizes), status="empty-dictionary")
         sizes.append(len(d))

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .linalg import as_matrix
 
-__all__ = ["SinkhornConfig", "TransportPlan", "sinkhorn_plan"]
+__all__ = ["TransportPlan", "sinkhorn_plan"]
 
 # Above this value of span(cost)/epsilon the plain kernel underflows
 # badly enough that the log-domain path is required.
@@ -29,32 +29,12 @@ _LADDER_BUDGET = 0.5
 
 _LADDER_WARMUP = 10
 
+# Iteration budget: ladder stages, scaling sweeps and Newton steps all
+# draw from it.
+_MAX_ITERS = 100
 
-@dataclass(frozen=True)
-class SinkhornConfig:
-    """Solver knobs.
-
-    epsilon : float or None
-        Entropic regularization.  None selects 0.05 * median(cost) per
-        call, which tracks the scale of the inputs.
-    max_iters : int
-        Iteration budget.  Ladder stages, scaling sweeps and Newton
-        steps all draw from it.
-    tol_marginal : float
-        Worst allowed deviation of any row or column sum from 1/b.
-    """
-
-    epsilon: float | None = None
-    max_iters: int = 100
-    tol_marginal: float = 1e-6
-
-    def __post_init__(self) -> None:
-        if self.epsilon is not None and not self.epsilon > 0.0:
-            raise InvalidArgumentError("epsilon must be positive")
-        if self.max_iters < 1:
-            raise InvalidArgumentError("max_iters must be at least 1")
-        if not self.tol_marginal > 0.0:
-            raise InvalidArgumentError("tol_marginal must be positive")
+# Worst allowed deviation of any row or column sum from 1/b.
+_TOL_MARGINAL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -83,9 +63,11 @@ class TransportPlan:
         return self.weights.shape[0]
 
 
-def _resolve_epsilon(cost: np.ndarray, cfg: SinkhornConfig) -> float:
-    if cfg.epsilon is not None:
-        return float(cfg.epsilon)
+def _resolve_epsilon(cost: np.ndarray, epsilon: float | None) -> float:
+    if epsilon is not None:
+        if not epsilon > 0.0:
+            raise InvalidArgumentError("epsilon must be positive")
+        return float(epsilon)
     med = float(np.median(cost))
     if not med > 0.0:
         raise InvalidArgumentError(
@@ -101,9 +83,7 @@ def _marginal_error(plan: np.ndarray) -> float:
     return float(max(row, col))
 
 
-def _sinkhorn_linear(
-    cost: np.ndarray, eps: float, cfg: SinkhornConfig
-) -> TransportPlan | None:
+def _sinkhorn_linear(cost: np.ndarray, eps: float) -> TransportPlan | None:
     """Plain scaling loop on the exponentiated kernel.
 
     Returns None when the iteration degrades numerically or fails to
@@ -114,7 +94,7 @@ def _sinkhorn_linear(
     kernel = np.exp(-(cost - cost.min()) / eps)
     u = np.full(b, 1.0 / b)
     ku = kernel.T @ u
-    for it in range(1, cfg.max_iters + 1):
+    for it in range(1, _MAX_ITERS + 1):
         if not np.all(ku > 0.0):
             return None
         v = target / ku
@@ -131,7 +111,7 @@ def _sinkhorn_linear(
         if not np.all(np.isfinite(col)):
             return None
         err = float(np.abs(col - target).max())
-        if err <= cfg.tol_marginal:
+        if err <= _TOL_MARGINAL:
             plan = u[:, None] * kernel * v[None, :]
             if not np.all(np.isfinite(plan)):
                 return None
@@ -154,7 +134,7 @@ def _lse_cols(m: np.ndarray) -> np.ndarray:
     return mx + np.log(np.exp(m - mx[None, :]).sum(axis=0))
 
 
-def _sinkhorn_log(cost: np.ndarray, eps: float, cfg: SinkhornConfig) -> TransportPlan:
+def _sinkhorn_log(cost: np.ndarray, eps: float) -> TransportPlan:
     """Stabilized solver: epsilon ladder, scaling sweeps, Newton finish.
 
     The ladder anneals the regularization down to eps so the potentials
@@ -179,7 +159,7 @@ def _sinkhorn_log(cost: np.ndarray, eps: float, cfg: SinkhornConfig) -> Transpor
         while e > eps:
             ladder.append(e)
             e /= 2.0
-        budget = int(cfg.max_iters * _LADDER_BUDGET)
+        budget = int(_MAX_ITERS * _LADDER_BUDGET)
         if ladder:
             per_stage = min(_LADDER_WARMUP, max(1, budget // len(ladder)))
             for e in ladder:
@@ -195,8 +175,8 @@ def _sinkhorn_log(cost: np.ndarray, eps: float, cfg: SinkhornConfig) -> Transpor
     plan, err = _log_marginals(sc, f, g, eps)
     stalled = False
     newton_ok = b > 1
-    while spent < cfg.max_iters:
-        if err <= cfg.tol_marginal:
+    while spent < _MAX_ITERS:
+        if err <= _TOL_MARGINAL:
             return TransportPlan(plan, True, err, spent, eps)
         if stalled and newton_ok:
             improved, f, g, plan, err = _newton_step(sc, f, g, eps, log_target)
@@ -213,7 +193,7 @@ def _sinkhorn_log(cost: np.ndarray, eps: float, cfg: SinkhornConfig) -> Transpor
             # to Newton polishing of the potentials.
             if err > 0.5 * prev:
                 stalled = True
-    return TransportPlan(plan, err <= cfg.tol_marginal, err, spent, eps)
+    return TransportPlan(plan, err <= _TOL_MARGINAL, err, spent, eps)
 
 
 def _newton_step(sc, f, g, eps, log_target):
@@ -258,35 +238,36 @@ def _newton_step(sc, f, g, eps, log_target):
     return False, f, g, plan, base
 
 
-def sinkhorn_plan(cost: np.ndarray, cfg: SinkhornConfig | None = None) -> TransportPlan:
+def sinkhorn_plan(cost: np.ndarray, epsilon: float | None = None) -> TransportPlan:
     """Solve the entropic transport problem for a square cost matrix.
 
     Parameters
     ----------
     cost : (b, b) array_like
         Pairwise transport costs.  Must be finite.
-    cfg : SinkhornConfig, optional
-        Solver settings; defaults are fine for moderate regularization.
+    epsilon : float, optional
+        Entropic regularization, positive.  None selects
+        0.05 * median(cost) per call, which tracks the scale of the
+        inputs.
 
     Returns
     -------
     TransportPlan
         Mass-1 coupling.  converged is False when the marginal
-        tolerance was not reached inside the iteration budget.
+        tolerance _TOL_MARGINAL was not reached inside the budget of
+        _MAX_ITERS iterations.
     """
-    if cfg is None:
-        cfg = SinkhornConfig()
     c = as_matrix(cost, "cost")
     if c.shape[0] != c.shape[1]:
         raise InvalidArgumentError("cost matrix must be square")
-    eps = _resolve_epsilon(c, cfg)
+    eps = _resolve_epsilon(c, epsilon)
     span = float(c.max() - c.min())
     if span == 0.0:
         b = c.shape[0]
         plan = np.full((b, b), 1.0 / (b * b))
         return TransportPlan(plan, True, 0.0, 0, eps)
     if span / eps <= _LINEAR_DOMAIN_SPAN:
-        result = _sinkhorn_linear(c, eps, cfg)
+        result = _sinkhorn_linear(c, eps)
         if result is not None:
             return result
-    return _sinkhorn_log(c, eps, cfg)
+    return _sinkhorn_log(c, eps)

@@ -1,7 +1,9 @@
-"""Dense reference scorers, and full score matrices read back from retrieve.
+"""Reference formulas the tests hold the library to.
 
-The library has one scorer, the blocked engine behind `retrieve`.  These
-full-matrix formulas are the oracles the tests hold it to.
+The library has one scorer, the blocked engine behind `retrieve`; the
+dense scorers here are its oracles, and `retrieved_scores` reads its
+full score matrices back.  The Frank-Wolfe objective and gradient are
+the oracles of `fw_solve`, which tracks them incrementally.
 """
 
 import numpy as np
@@ -44,3 +46,15 @@ def retrieved_scores(q, t, cfg):
     out = np.empty(table.indices.shape)
     np.put_along_axis(out, table.indices, table.scores, axis=1)
     return out
+
+
+def fw_objective(g, p):
+    """f(P) = ||Kx P - P Ky||_F^2 for the Grams of a GramPair."""
+    r = g.kx @ p - p @ g.ky
+    return float((r * r).sum())
+
+
+def fw_gradient(g, p):
+    """Gradient of f: 2 (Kx (Kx P - P Ky) - (Kx P - P Ky) Ky)."""
+    r = g.kx @ p - p @ g.ky
+    return 2.0 * (g.kx @ r - r @ g.ky)

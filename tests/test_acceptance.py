@@ -18,24 +18,17 @@ import pytest
 
 import wproc
 import wproc.retrieval as retrieval_mod
-from oracles import retrieved_scores
+from oracles import fw_gradient, fw_objective, retrieved_scores
 from wproc.aligner import AlignmentConfig, AlignmentState, align, align_step
 from wproc.assignment import max_trace_matching, solve_lap
 from wproc.data_io import synth_generate
 from wproc.evaluation import matching_accuracy
 from wproc.linalg import OrthogonalMap, project_orthogonal
 from wproc.procrustes import fit_orthogonal
-from wproc.qap_init import (
-    FwConfig,
-    build_grams,
-    extract_q0,
-    fw_gradient,
-    fw_objective,
-    fw_solve,
-)
+from wproc.qap_init import FwConfig, build_grams, extract_q0, fw_solve
 from wproc.retrieval import RetrievalConfig, retrieve
 from wproc.rng import PortableRng
-from wproc.sinkhorn import SinkhornConfig, sinkhorn_plan
+from wproc.sinkhorn import sinkhorn_plan
 
 from test_assignment import brute_force_lap
 
@@ -76,7 +69,7 @@ def test_criterion_02_sinkhorn_tracks_exact_assignment():
     for _ in range(20):
         cost = rng.uniform(size=(50, 50))
         eps = 0.001 * float(np.median(cost))
-        plan = sinkhorn_plan(cost, SinkhornConfig(epsilon=eps))
+        plan = sinkhorn_plan(cost, epsilon=eps)
         _, opt = solve_lap(cost)
         rel = abs(50.0 * float((plan.weights * cost).sum()) - opt) / opt
         worst_rel = max(worst_rel, rel)
@@ -420,9 +413,7 @@ def test_criterion_11_muse_en_es_benchmark():
     p1 = 100.0 * unrefined.precision_at[1]
     assert abs(p1 - 79.8) <= 2.0, f"unrefined P@1 {p1:.1f}"
 
-    refined = refine(xs, ys, state.q, epochs=5,
-                     cfg=RetrievalConfig(kind="csls", csls_k=10,
-                                         candidate_cap=20000))
+    refined = refine(xs, ys, state.q, epochs=5, csls_k=10, candidate_cap=20000)
     scored = evaluate_bli(src_p, tgt_p, refined.q, lex, rcfg, ks=(1,))
     p1r = 100.0 * scored.precision_at[1]
     assert abs(p1r - 82.8) <= 1.5, f"refined P@1 {p1r:.1f}"

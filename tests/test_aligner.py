@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import wproc.aligner as aligner_mod
+import wproc.sinkhorn as sinkhorn_mod
 from wproc.aligner import AlignmentConfig, AlignmentState, align, align_step
 from wproc.assignment import max_trace_matching
 from wproc.errors import (
@@ -13,7 +14,7 @@ from wproc.errors import (
 )
 from wproc.linalg import OrthogonalMap, project_orthogonal
 from wproc.rng import PortableRng
-from wproc.sinkhorn import SinkhornConfig, sinkhorn_plan
+from wproc.sinkhorn import sinkhorn_plan
 
 
 def random_orthogonal(rng, d):
@@ -30,6 +31,8 @@ def test_config_validation():
         AlignmentConfig(step_size=0.0)
     with pytest.raises(InvalidArgumentError):
         AlignmentConfig(matcher="greedy")
+    with pytest.raises(InvalidArgumentError):
+        AlignmentConfig(sinkhorn_eps=0.0)
     with pytest.raises(InvalidArgumentError):
         AlignmentConfig(sample_pool=1)
 
@@ -56,21 +59,22 @@ def test_hungarian_step_matches_manual_reconstruction():
     assert state.loss_history == ((1, want_loss),)
 
 
-def test_sinkhorn_step_matches_manual_reconstruction():
+def test_sinkhorn_step_matches_manual_reconstruction(monkeypatch):
     rng = np.random.default_rng(1)
     b, d = 10, 3
     x = rng.standard_normal((b, d))
     y = rng.standard_normal((b, d))
     q0 = OrthogonalMap(q=np.eye(d))
-    sink = SinkhornConfig(epsilon=0.5, max_iters=500, tol_marginal=1e-9)
+    monkeypatch.setattr(sinkhorn_mod, "_MAX_ITERS", 500)
+    monkeypatch.setattr(sinkhorn_mod, "_TOL_MARGINAL", 1e-9)
     cfg = AlignmentConfig(batch_size_initial=b, matcher="sinkhorn",
-                          sinkhorn=sink)
+                          sinkhorn_eps=0.5)
     state = align_step(x, y, AlignmentState(q=q0, iteration=0), cfg)
 
     xq = x @ q0.q
     d2 = (xq * xq).sum(1)[:, None] + (y * y).sum(1)[None, :] - 2.0 * (xq @ y.T)
     np.maximum(d2, 0.0, out=d2)
-    plan = sinkhorn_plan(d2, sink)
+    plan = sinkhorn_plan(d2, 0.5)
     matched = (b * plan.weights) @ y
     grad = -2.0 * (x.T @ matched)
     alpha = d / (2.0 * b)

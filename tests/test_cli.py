@@ -312,6 +312,39 @@ def test_exit_config_on_bad_batch(inst, tmp_path):
                "--batch-size", 1) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(("translate", *PAIR, "--map", "{map}", "--max-queries", -5),
+                 id="max-queries-negative"),
+    pytest.param(("translate", *PAIR, "--map", "{map}", "--max-queries", 0,
+                  "--retrieval", "nn"), id="max-queries-zero"),
+    pytest.param(("bench-batch-size", "--n", 40, "--d", 3, "--seeds", 0,
+                  "--sizes", "8", "--iters", 2), id="seeds"),
+    pytest.param(("eval", *PAIR, "--map", "{map}", "--lexicon", "{lex}",
+                  "--ks", "1,x"), id="ks"),
+    pytest.param(("bench-batch-size", "--n", 40, "--d", 3, "--sizes", "10,x",
+                  "--iters", 2), id="sizes"),
+])
+def test_exit_config_on_bad_count_or_list_flag(inst, tmp_path, argv):
+    out = tmp_path / "o"
+    assert main([str(a).format(**inst) for a in argv] + ["--out", str(out)]) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("iters, done, status", [
+    (40, 26, "gap_tol met"),
+    (5, 5, "stopped at the iteration cap"),
+])
+def test_init_reports_whether_fw_met_gap_tol(inst, tmp_path, capsys, iters,
+                                            done, status):
+    # The noise-free 50-row instance meets the default gap_tol after 26
+    # iterations, so a cap of 5 stops it first.
+    assert run("init", inst["src"], inst["tgt"], "--out", tmp_path / "q0.map",
+               "--fw-size", 50, "--fw-iters", iters) == 0
+    line = capsys.readouterr().out.strip()
+    assert line.endswith(f", {status})")
+    assert int(line.split("fw iterations ")[1].split(",")[0]) == done
+
+
 def test_exit_numeric_on_degenerate_fit(tmp_path):
     # Three 5-dimensional rows cannot pin an orthogonal map; the
     # underdetermined fit inside init degenerates.

@@ -5,11 +5,10 @@ import pytest
 
 import wproc.refine as refine_mod
 import wproc.retrieval as retrieval_mod
-from oracles import cosine_scores, csls_scores, unit
+from oracles import csls_scores, unit
 from wproc.errors import EmptyResultError, InvalidArgumentError
 from wproc.linalg import OrthogonalMap, project_orthogonal
 from wproc.refine import RefineResult, SeedDictionary, mutual_nn_dictionary, refine
-from wproc.retrieval import RetrievalConfig
 
 
 def random_orthogonal(rng, d):
@@ -43,8 +42,7 @@ def test_mutual_dictionary_matches_naive_full_matrix(monkeypatch):
     rng = np.random.default_rng(0)
     xs = unit(rng.standard_normal((60, 8)))
     ys = unit(rng.standard_normal((45, 8)))
-    cfg = RetrievalConfig(csls_k=5)
-    d = mutual_nn_dictionary(xs, ys, cfg)
+    d = mutual_nn_dictionary(xs, ys, csls_k=5)
     assert sorted(d.pairs) == sorted(naive_mutual_pairs(xs, ys, 5))
 
 
@@ -55,7 +53,7 @@ def test_mutual_dictionary_on_shared_points():
     xs = unit(rng.standard_normal((30, 6)))
     order = rng.permutation(30)
     ys = xs[order]
-    d = mutual_nn_dictionary(xs, ys, RetrievalConfig(csls_k=3))
+    d = mutual_nn_dictionary(xs, ys, csls_k=3)
     assert len(d) == 30
     inv = np.argsort(order)
     for i, j in d.pairs:
@@ -66,8 +64,7 @@ def test_candidate_cap_restricts_both_sides():
     rng = np.random.default_rng(2)
     xs = unit(rng.standard_normal((40, 5)))
     ys = unit(rng.standard_normal((40, 5)))
-    cfg = RetrievalConfig(csls_k=3, candidate_cap=12)
-    d = mutual_nn_dictionary(xs, ys, cfg)
+    d = mutual_nn_dictionary(xs, ys, csls_k=3, candidate_cap=12)
     assert d.sources.max() < 12
     assert d.targets.max() < 12
     assert sorted(d.pairs) == sorted(naive_mutual_pairs(xs[:12], ys[:12], 3))
@@ -81,7 +78,7 @@ def test_csls_k_is_clamped_to_set_sizes(monkeypatch):
     rng = np.random.default_rng(3)
     xs = unit(rng.standard_normal((6, 4)))
     ys = unit(rng.standard_normal((8, 4)))
-    d = mutual_nn_dictionary(xs, ys, RetrievalConfig(csls_k=10))
+    d = mutual_nn_dictionary(xs, ys, csls_k=10)
     assert sorted(d.pairs) == sorted(naive_mutual_pairs(xs, ys, 6))
 
 
@@ -92,22 +89,10 @@ def test_duplicate_sources_across_blocks_pair_lowest_index(monkeypatch):
     base = unit(rng.standard_normal((5, 4)))
     xs = base[[0, 1, 2, 3, 1, 4]]
     monkeypatch.setattr(retrieval_mod, "_BLOCK_SIZE", 2)
-    d = mutual_nn_dictionary(xs, base, RetrievalConfig(csls_k=2))
+    d = mutual_nn_dictionary(xs, base, csls_k=2)
     assert (1, 1) in d.pairs
     assert 4 not in d.sources.tolist()
     assert sorted(d.pairs) == sorted(naive_mutual_pairs(xs, base, 2))
-
-
-def test_dictionary_uses_csls_whatever_the_kind(monkeypatch):
-    monkeypatch.setattr(retrieval_mod, "_BLOCK_SIZE", 7)
-    rng = np.random.default_rng(0)
-    xs = unit(rng.standard_normal((30, 4)))
-    ys = unit(rng.standard_normal((25, 4)))
-    want = sorted(naive_mutual_pairs(xs, ys, 3))
-    assert want != sorted(mutual_pairs(cosine_scores(xs, ys)))
-    for kind in ("nn", "isf"):
-        cfg = RetrievalConfig(kind=kind, csls_k=3)
-        assert sorted(mutual_nn_dictionary(xs, ys, cfg).pairs) == want
 
 
 def test_refine_fixed_point_on_aligned_sets():
@@ -115,8 +100,7 @@ def test_refine_fixed_point_on_aligned_sets():
     x = rng.standard_normal((50, 5))
     r = random_orthogonal(rng, 5)
     y = x @ r
-    result = refine(x, y, OrthogonalMap(q=r), epochs=3,
-                    cfg=RetrievalConfig(csls_k=4))
+    result = refine(x, y, OrthogonalMap(q=r), epochs=3, csls_k=4)
     assert result.status == "completed"
     assert result.dictionary_sizes == (50, 50, 50)
     assert np.linalg.norm(result.q.q - r) < 1e-12
@@ -130,7 +114,7 @@ def test_refine_improves_perturbed_map():
     y = (x @ r + noise)[rng.permutation(80)]
     start = project_orthogonal(r + 0.15 * rng.standard_normal((6, 6)))
     before = np.linalg.norm(start.q - r)
-    result = refine(x, y, start, epochs=5, cfg=RetrievalConfig(csls_k=5))
+    result = refine(x, y, start, epochs=5, csls_k=5)
     after = np.linalg.norm(result.q.q - r)
     assert result.status == "completed"
     assert after < 0.25 * before
@@ -143,18 +127,17 @@ def test_refine_empty_dictionary_returns_partial(monkeypatch):
     calls = {"n": 0}
     real = refine_mod.mutual_nn_dictionary
 
-    def flaky(xm, y, cfg=None):
+    def flaky(xm, y, csls_k, candidate_cap):
         calls["n"] += 1
         if calls["n"] >= 3:
             raise EmptyResultError("no mutual nearest neighbors; cannot refine")
-        return real(xm, y, cfg)
+        return real(xm, y, csls_k, candidate_cap)
 
     monkeypatch.setattr(refine_mod, "mutual_nn_dictionary", flaky)
     rng = np.random.default_rng(5)
     x = rng.standard_normal((20, 4))
     r = random_orthogonal(rng, 4)
-    result = refine(x, x @ r, OrthogonalMap(q=r), epochs=5,
-                    cfg=RetrievalConfig(csls_k=3))
+    result = refine(x, x @ r, OrthogonalMap(q=r), epochs=5, csls_k=3)
     assert result.status == "empty-dictionary"
     assert len(result.dictionary_sizes) == 2
     # The partial map is the fit from the last successful epoch.
@@ -164,6 +147,19 @@ def test_refine_empty_dictionary_returns_partial(monkeypatch):
 def test_refine_validates_epochs():
     with pytest.raises(InvalidArgumentError):
         refine(np.eye(3), np.eye(3), OrthogonalMap(q=np.eye(3)), epochs=0)
+
+
+@pytest.mark.parametrize("counts", [dict(csls_k=0), dict(candidate_cap=0)])
+def test_refine_validates_counts_before_any_epoch(monkeypatch, counts):
+    def epoch(*args):
+        raise AssertionError("an epoch ran")
+
+    monkeypatch.setattr(refine_mod, "mutual_nn_dictionary", epoch)
+    x = unit(np.random.default_rng(2).standard_normal((8, 3)))
+    with pytest.raises(InvalidArgumentError):
+        refine(x, x, OrthogonalMap(q=np.eye(3)), **counts)
+    with pytest.raises(InvalidArgumentError):
+        mutual_nn_dictionary(x, x, **counts)
 
 
 def test_mutual_dictionary_rejects_dimension_mismatch():
