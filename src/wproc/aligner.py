@@ -10,7 +10,7 @@ regions, and doubles twice as the run progresses to polish the solution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,12 +70,19 @@ class AlignmentState:
 
     loss_history holds (iteration, batch loss) pairs where the loss is
     ||X Q - P Y||_F^2 / b on that step's batch, an estimate of the
-    population transport objective.
+    population transport objective.  plans_nonconverged counts the
+    Sinkhorn plans so far that missed the marginal tolerance, and
+    worst_marginal_error is the largest marginal error among all of
+    them (0.0 while every step used the exact assignment).  Such a plan
+    is still used for its step: the run warns and counts, it does not
+    stop.
     """
 
     q: OrthogonalMap
     iteration: int
     loss_history: tuple = ()
+    plans_nonconverged: int = 0
+    worst_marginal_error: float = 0.0
 
 
 def _resolve_matcher(matcher: str, b: int) -> str:
@@ -112,6 +119,7 @@ def align_step(
         )
     xq = x @ state.q.q
     matcher = _resolve_matcher(cfg.matcher, b)
+    missed, worst = state.plans_nonconverged, state.worst_marginal_error
     if matcher == "hungarian":
         # minimizing sum ||x_i Q - y_match(i)||^2 = maximizing the trace
         # of the score form, since the norms do not depend on the match
@@ -122,6 +130,8 @@ def align_step(
         # scale the mass-1 plan to row sums 1 so it plays the role of
         # a (soft) permutation matrix
         matched = (b * plan.weights) @ y
+        missed += not plan.converged
+        worst = max(worst, plan.marginal_error)
     diff = xq - matched
     loss = float((diff * diff).sum()) / b
     grad = -2.0 * (x.T @ matched)
@@ -137,6 +147,8 @@ def align_step(
         q=q_next,
         iteration=it,
         loss_history=state.loss_history + ((it, loss),),
+        plans_nonconverged=missed,
+        worst_marginal_error=worst,
     )
 
 
@@ -173,7 +185,8 @@ def align(
     step; it exists for instrumentation (orthogonality audits, live
     loss reporting) and must not mutate the state.  That state's
     loss_history holds only its own step's (iteration, loss) pair; the
-    returned state holds the pairs of all steps.
+    returned state holds the pairs of all steps.  The Sinkhorn counters
+    of every state cover all steps so far.
     """
     if cfg is None:
         cfg = AlignmentConfig()
@@ -202,12 +215,8 @@ def align(
         iy = rng.sample_without_replacement(pool, b)
         # Each step starts from an empty history, so no step copies the
         # ones before it; the returned state gathers them all.
-        state = align_step(
-            x[ix], y[iy], AlignmentState(q=state.q, iteration=state.iteration), cfg
-        )
+        state = align_step(x[ix], y[iy], replace(state, loss_history=()), cfg)
         history.extend(state.loss_history)
         if step_callback is not None:
             step_callback(state)
-    return AlignmentState(
-        q=state.q, iteration=state.iteration, loss_history=tuple(history)
-    )
+    return replace(state, loss_history=tuple(history))

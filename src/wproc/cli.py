@@ -268,8 +268,13 @@ def cmd_align(args, run) -> int:
                        ([it, "%.17g" % loss] for it, loss in state.loss_history))
             run.outputs.append(args.loss_csv)
     final_loss = state.loss_history[-1][1]
+    missed = state.plans_nonconverged
+    if missed:
+        print(f"warning: {missed} Sinkhorn plans missed the marginal tolerance; "
+              "their steps used them anyway", file=sys.stderr)
     print(f"wrote {args.out} ({state.iteration} iterations, "
-          f"final batch loss {final_loss:.6g})")
+          f"final batch loss {final_loss:.6g}, {missed} Sinkhorn plans missed "
+          f"tolerance, worst marginal error {state.worst_marginal_error:.3g})")
     return EXIT_OK
 
 
@@ -303,12 +308,14 @@ def cmd_translate(args, run) -> int:
         src, tgt = _load_pair(args)
         q = load_map(args.map)
     n_q = src.size if args.max_queries is None else min(args.max_queries, src.size)
+    # CSLS and ISF take per-target statistics over every query, so all
+    # rows are scored and the flag only limits what is written.
     with run.phase("retrieve"):
-        table = retrieve(src.matrix[:n_q] @ q.q, tgt.matrix, _retrieval_config(args),
+        table = retrieve(src.matrix @ q.q, tgt.matrix, _retrieval_config(args),
                          topk=args.topk)
     with run.phase("write"), open(args.out, "w", encoding="utf-8") as fh:
-        for word, row_idx, row_sc in zip(src.labels, table.indices.tolist(),
-                                         table.scores.tolist()):
+        for word, row_idx, row_sc in zip(src.labels, table.indices[:n_q].tolist(),
+                                         table.scores[:n_q].tolist()):
             for rank, (j, score) in enumerate(zip(row_idx, row_sc), start=1):
                 fh.write(f"{word}\t{rank}\t{tgt.labels[j]}\t{'%.17g' % score}\n")
     run.outputs.append(args.out)
@@ -486,7 +493,9 @@ def build_parser() -> argparse.ArgumentParser:
     pt.add_argument("--map", required=True)
     pt.add_argument("--out", required=True)
     pt.add_argument("--topk", type=int, default=1)
-    pt.add_argument("--max-queries", type=int, default=None)
+    pt.add_argument("--max-queries", type=int, default=None, metavar="N",
+                    help="write only the first N source rows; every row is "
+                         "still scored against the whole source set")
     pt.set_defaults(func=cmd_translate)
 
     pe = sub.add_parser("eval", help="lexicon-induction precision")

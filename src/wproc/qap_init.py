@@ -125,7 +125,12 @@ def fw_solve(g: GramPair, cfg: FwConfig | None = None):
     converged = False
     for _ in range(cfg.max_iters):
         grad = 2.0 * (g.kx @ r - r @ g.ky)
-        vertex = max_trace_matching(-grad)
+        # Subtracting each column's minimum leaves the optimal vertex
+        # unchanged and hands the shortest-augmenting-path solver the
+        # column duals it would otherwise build first (Jonker-Volgenant's
+        # column reduction), which makes it much faster on these
+        # gradients.  Everything below still reads the raw gradient.
+        vertex = max_trace_matching(grad.min(axis=0) - grad)
         # <grad, S> for a permutation vertex is a gather, not a product.
         rows = np.arange(m)
         grad_s = float(grad[rows, vertex.mapping].sum())

@@ -6,7 +6,9 @@ optimal assignment, which is what the alignment loop needs; large
 regularization is cheap and smooth.  The solver picks a linear-domain
 scaling loop when the kernel is safe to exponentiate and otherwise runs
 a stabilized log-domain loop with an epsilon ladder and a Newton finish
-on the dual potentials.
+on the dual potentials.  A linear loop that stays finite but misses the
+tolerance hands its potentials straight to that Newton finish; only a
+loop whose kernel sums underflow starts over in the log domain.
 """
 
 from __future__ import annotations
@@ -29,8 +31,10 @@ _LADDER_BUDGET = 0.5
 
 _LADDER_WARMUP = 10
 
-# Iteration budget: ladder stages, scaling sweeps and Newton steps all
-# draw from it.
+# Iteration budget of one loop: ladder stages, scaling sweeps and Newton
+# steps all draw from it.  A linear loop that hands its potentials over
+# has spent its budget, and the Newton finish draws from a fresh one, so
+# a plan takes at most 2 * _MAX_ITERS iterations and reports them all.
 _MAX_ITERS = 100
 
 # Worst allowed deviation of any row or column sum from 1/b.
@@ -86,12 +90,17 @@ def _marginal_error(plan: np.ndarray) -> float:
 def _sinkhorn_linear(cost: np.ndarray, eps: float) -> TransportPlan | None:
     """Plain scaling loop on the exponentiated kernel.
 
-    Returns None when the iteration degrades numerically or fails to
-    reach the tolerance, so the caller can retry in the log domain.
+    Returns None when the iteration degrades numerically (a kernel sum
+    or a potential is not positive and finite), so the caller starts
+    over in the log domain.  A loop that stays finite but misses the
+    tolerance within _MAX_ITERS sweeps hands its potentials
+    f = eps log u + min C and g = eps log v to the Newton finish of
+    _sinkhorn_log.
     """
     b = cost.shape[0]
     target = 1.0 / b
-    kernel = np.exp(-(cost - cost.min()) / eps)
+    cmin = cost.min()
+    kernel = np.exp(-(cost - cmin) / eps)
     u = np.full(b, 1.0 / b)
     ku = kernel.T @ u
     for it in range(1, _MAX_ITERS + 1):
@@ -116,7 +125,14 @@ def _sinkhorn_linear(cost: np.ndarray, eps: float) -> TransportPlan | None:
             if not np.all(np.isfinite(plan)):
                 return None
             return TransportPlan(plan, True, _marginal_error(plan), it, eps)
-    return None
+    f = eps * np.log(u) + cmin
+    g = eps * np.log(v)
+    if not (np.all(np.isfinite(f)) and np.all(np.isfinite(g))):
+        return None
+    # The finish builds b x b arrays of its own; the kernel is not needed
+    # any more, so it does not have to stay alive beside them.
+    del kernel
+    return _sinkhorn_log(cost, eps, (f, g, _MAX_ITERS))
 
 
 def _log_marginals(scaled: np.ndarray, f: np.ndarray, g: np.ndarray, eps: float):
@@ -134,7 +150,7 @@ def _lse_cols(m: np.ndarray) -> np.ndarray:
     return mx + np.log(np.exp(m - mx[None, :]).sum(axis=0))
 
 
-def _sinkhorn_log(cost: np.ndarray, eps: float) -> TransportPlan:
+def _sinkhorn_log(cost: np.ndarray, eps: float, warm=None) -> TransportPlan:
     """Stabilized solver: epsilon ladder, scaling sweeps, Newton finish.
 
     The ladder anneals the regularization down to eps so the potentials
@@ -145,15 +161,19 @@ def _sinkhorn_log(cost: np.ndarray, eps: float) -> TransportPlan:
     step solves a (b-1) x (b-1) system, which is cheap at batch sizes.
     The returned plan is always exp((f_i + g_j - C_ij) / eps), i.e. a
     positive diagonal rescaling of the kernel.
+
+    warm, when given, is (f, g, sweeps): the potentials a linear loop
+    reached after spending sweeps iterations.  The ladder is skipped and
+    the finish starts with a Newton step, from a budget of its own of
+    _MAX_ITERS; the plan's iterations count the sweeps too.
     """
     b = cost.shape[0]
     log_target = -np.log(b)
     span = float(cost.max() - cost.min())
-    f = np.zeros(b)
-    g = np.zeros(b)
+    f, g, swept = warm if warm is not None else (np.zeros(b), np.zeros(b), 0)
     spent = 0
 
-    if span > 0.0:
+    if warm is None and span > 0.0:
         ladder = []
         e = span / 8.0
         while e > eps:
@@ -173,11 +193,11 @@ def _sinkhorn_log(cost: np.ndarray, eps: float) -> TransportPlan:
 
     sc = -cost / eps
     plan, err = _log_marginals(sc, f, g, eps)
-    stalled = False
+    stalled = warm is not None
     newton_ok = b > 1
     while spent < _MAX_ITERS:
         if err <= _TOL_MARGINAL:
-            return TransportPlan(plan, True, err, spent, eps)
+            return TransportPlan(plan, True, err, swept + spent, eps)
         if stalled and newton_ok:
             improved, f, g, plan, err = _newton_step(sc, f, g, eps, log_target)
             spent += 1
@@ -193,7 +213,7 @@ def _sinkhorn_log(cost: np.ndarray, eps: float) -> TransportPlan:
             # to Newton polishing of the potentials.
             if err > 0.5 * prev:
                 stalled = True
-    return TransportPlan(plan, err <= _TOL_MARGINAL, err, spent, eps)
+    return TransportPlan(plan, err <= _TOL_MARGINAL, err, swept + spent, eps)
 
 
 def _newton_step(sc, f, g, eps, log_target):
@@ -254,8 +274,8 @@ def sinkhorn_plan(cost: np.ndarray, epsilon: float | None = None) -> TransportPl
     -------
     TransportPlan
         Mass-1 coupling.  converged is False when the marginal
-        tolerance _TOL_MARGINAL was not reached inside the budget of
-        _MAX_ITERS iterations.
+        tolerance _TOL_MARGINAL was not reached inside the iteration
+        budget (_MAX_ITERS per loop; a handed-off plan has two loops).
     """
     c = as_matrix(cost, "cost")
     if c.shape[0] != c.shape[1]:

@@ -168,6 +168,48 @@ def test_align_history_matches_chained_steps():
     assert seen == [(pair,) for pair in state.loss_history]
 
 
+def test_align_counts_plans_that_miss_tolerance(monkeypatch):
+    # One sweep and one Newton step per plan cannot reach the marginal
+    # tolerance, so every Sinkhorn step counts one miss; the steps still
+    # use their plans, and the run finishes.
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((40, 3))
+    y = rng.standard_normal((40, 3))
+    q0 = OrthogonalMap(q=np.eye(3))
+    monkeypatch.setattr(sinkhorn_mod, "_MAX_ITERS", 1)
+    cfg = AlignmentConfig(total_iters=6, batch_size_initial=20,
+                          batch_doubling=False, matcher="sinkhorn", rng_seed=4)
+    seen = []
+    got = align(x, y, q0, cfg, step_callback=lambda s: seen.append(
+        (s.plans_nonconverged, s.worst_marginal_error)))
+    assert [n for n, _ in seen] == [1, 2, 3, 4, 5, 6]
+    assert got.plans_nonconverged == 6
+    assert got.worst_marginal_error == max(e for _, e in seen)
+    assert got.worst_marginal_error > sinkhorn_mod._TOL_MARGINAL
+
+    # The same draws through align_step, with each plan solved directly.
+    draws = PortableRng(4)
+    state = AlignmentState(q=q0, iteration=0)
+    worst = 0.0
+    for _ in range(6):
+        ix = draws.sample_without_replacement(40, 20)
+        iy = draws.sample_without_replacement(40, 20)
+        xq = x[ix] @ state.q.q
+        d2 = ((xq[:, None, :] - y[iy][None, :, :]) ** 2).sum(axis=2)
+        plan = sinkhorn_plan(d2)
+        assert not plan.converged
+        worst = max(worst, plan.marginal_error)
+        state = align_step(x[ix], y[iy], state, cfg)
+    assert np.array_equal(got.q.q, state.q.q)
+    assert got.worst_marginal_error == pytest.approx(worst, rel=1e-6)
+
+    exact = align(x, y, q0, AlignmentConfig(
+        total_iters=6, batch_size_initial=20, batch_doubling=False,
+        matcher="hungarian", rng_seed=4))
+    assert exact.plans_nonconverged == 0
+    assert exact.worst_marginal_error == 0.0
+
+
 def test_align_deterministic_per_seed():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((50, 3))

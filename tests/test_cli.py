@@ -10,6 +10,7 @@ import pytest
 
 import wproc
 import wproc.refine as refine_mod
+import wproc.sinkhorn as sinkhorn_mod
 from wproc import __version__
 from wproc.cli import main
 from wproc.errors import EmptyResultError
@@ -117,6 +118,34 @@ def test_init_align_refine_pipeline(inst, tmp_path):
         epoch_rows = list(csv.DictReader(fh))
     assert len(epoch_rows) == 2
     assert all(int(r["dictionary_size"]) > 0 for r in epoch_rows)
+
+
+@pytest.mark.parametrize("kind", ["csls", "isf"])
+def test_translate_max_queries_only_limits_output(inst, tmp_path, kind):
+    # CSLS and ISF statistics run over all queries, so a row's lines do
+    # not depend on how many rows are written.
+    argv = ("translate", inst["src"], inst["tgt"], "--map", inst["map"],
+            "--retrieval", kind, "--topk", 3)
+    assert run(*argv, "--out", tmp_path / "all.tsv") == 0
+    assert run(*argv, "--out", tmp_path / "head.tsv", "--max-queries", 5) == 0
+    every = open(tmp_path / "all.tsv", encoding="utf-8").read().splitlines()
+    head = open(tmp_path / "head.tsv", encoding="utf-8").read().splitlines()
+    assert head == every[:15]
+
+
+@pytest.mark.parametrize("matcher, missed", [("sinkhorn", 4), ("hungarian", 0)])
+def test_align_reports_plans_that_miss_tolerance(inst, tmp_path, capsys,
+                                                 monkeypatch, matcher, missed):
+    monkeypatch.setattr(sinkhorn_mod, "_MAX_ITERS", 1)
+    assert run("align", inst["src"], inst["tgt"], "--out", tmp_path / "q.map",
+               "--init", "random", "--iters", 4, "--batch-size", 20,
+               "--no-batch-doubling", "--matcher", matcher) == 0
+    shown = capsys.readouterr()
+    line = shown.out.strip()
+    assert f", {missed} Sinkhorn plans missed tolerance, worst marginal error " in line
+    worst = float(line.split("worst marginal error ")[1].rstrip(")"))
+    assert (worst > 1e-6) if missed else (worst == 0.0)
+    assert ("warning: 4 Sinkhorn plans missed" in shown.err) == bool(missed)
 
 
 def test_plot_emits_all_points(inst, tmp_path):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from wproc.assignment import solve_lap
+import wproc.qap_init as qap_init
+from wproc.assignment import max_trace_matching, solve_lap
 from wproc.errors import InvalidArgumentError
 from oracles import fw_gradient, fw_objective
 from wproc.qap_init import FwConfig, GramPair, build_grams, extract_q0, fw_solve
@@ -152,3 +153,29 @@ def test_config_validation():
         FwConfig(max_iters=0)
     with pytest.raises(InvalidArgumentError):
         FwConfig(gap_tol=-1.0)
+
+
+def test_vertices_minimize_the_raw_gradient(monkeypatch):
+    # The oracle gets column-reduced costs; each vertex must still be the
+    # exact assignment on the gradient itself.  A run capped at k
+    # iterations picks its last vertex at the iterate that the run
+    # capped at k - 1 returns.
+    rng = np.random.default_rng(12)
+    m = 30
+    g = GramPair(rng.standard_normal((m, 5)), rng.standard_normal((m, 5)))
+    picked = []
+
+    def record(score):
+        perm = max_trace_matching(score)
+        picked.append(perm.mapping.tolist())
+        return perm
+
+    monkeypatch.setattr(qap_init, "max_trace_matching", record)
+    p = np.full((m, m), 1.0 / m)
+    for k in range(1, 9):
+        picked.clear()
+        plan, _ = fw_solve(g, FwConfig(max_iters=k, gap_tol=1e-300))
+        assert len(picked) == k
+        want, _ = solve_lap(fw_gradient(g, p))
+        assert picked[-1] == want.mapping.tolist()
+        p = plan.weights * m

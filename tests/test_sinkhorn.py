@@ -132,3 +132,66 @@ def test_invariance_to_cost_offset(monkeypatch):
 def test_rejects_non_square():
     with pytest.raises(InvalidArgumentError):
         sinkhorn_plan(np.ones((3, 4)), 1.0)
+
+
+def near_aligned_cost(seed, b=600, d=30, noise=0.05):
+    # Squared distances from a point set to a noisy shuffled copy of it:
+    # the nearly-an-assignment cost of a late, large-batch aligner step.
+    rng = np.random.default_rng(seed)
+    scale = 0.9 ** np.arange(d)
+    x = rng.standard_normal((b, d)) * scale
+    y = x[rng.permutation(b)] + noise * rng.standard_normal((b, d)) * scale
+    d2 = (x * x).sum(1)[:, None] + (y * y).sum(1)[None, :] - 2.0 * (x @ y.T)
+    return np.maximum(d2, 0.0)
+
+
+def test_linear_miss_hands_its_potentials_to_newton(monkeypatch):
+    cost = near_aligned_cost(3)
+    eps = 0.05 * float(np.median(cost))
+    assert (cost.max() - cost.min()) / eps <= sinkhorn._LINEAR_DOMAIN_SPAN
+    calls = {"newton": 0, "lse_cols": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(sinkhorn, "_newton_step",
+                        counted("newton", sinkhorn._newton_step))
+    monkeypatch.setattr(sinkhorn, "_lse_cols", counted("lse_cols", sinkhorn._lse_cols))
+    plan = sinkhorn_plan(cost, eps)
+    assert plan.converged
+    assert plan.marginal_error <= sinkhorn._TOL_MARGINAL
+    # Every linear sweep missed the tolerance, then only Newton steps
+    # ran: no ladder stage and no log-domain sweep.
+    assert calls["lse_cols"] == 0
+    assert calls["newton"] >= 1
+    assert plan.iterations == sinkhorn._MAX_ITERS + calls["newton"]
+    cold = sinkhorn._sinkhorn_log(cost, eps)
+    assert cold.converged
+    # Both plans meet the marginal tolerance of the same problem, and no
+    # entry (each near 1/b = 1.7e-3) differs by more than that tolerance.
+    assert np.abs(plan.weights - cold.weights).max() <= sinkhorn._TOL_MARGINAL
+
+
+def test_underflowing_kernel_starts_over_cold(monkeypatch):
+    rng = np.random.default_rng(8)
+    cost = random_cost(rng, 12)
+    eps = 0.05 * float(np.median(cost))
+    # Column 0 sits so far above the minimum that its kernel column is
+    # exactly zero once the linear domain is allowed at this span.
+    cost[:, 0] += 1000.0 * eps
+    monkeypatch.setattr(sinkhorn, "_LINEAR_DOMAIN_SPAN", np.inf)
+    starts = []
+    log_solver = sinkhorn._sinkhorn_log
+
+    def spy(cost, eps, warm=None):
+        starts.append(warm)
+        return log_solver(cost, eps, warm)
+
+    monkeypatch.setattr(sinkhorn, "_sinkhorn_log", spy)
+    plan = sinkhorn_plan(cost, eps)
+    assert starts == [None]
+    assert plan.converged
+    assert plan.iterations <= sinkhorn._MAX_ITERS
