@@ -285,7 +285,12 @@ _MAP_LOAD_ATOL = 1e-6
 
 
 def load_map(path) -> OrthogonalMap:
-    """Read a stored map, checking on load that it is finite and orthogonal (1e-6)."""
+    """Read a stored map, checking on load that it is finite and orthogonal (1e-6).
+
+    The d rows are parsed by one np.loadtxt (_parse_map_bulk).  Rows it
+    refuses are parsed again by _parse_map_lines, the strict line loop
+    that defines a valid map file and raises its errors.
+    """
     with _open_text(path) as fh:
         header = fh.readline()
         try:
@@ -293,17 +298,9 @@ def load_map(path) -> OrthogonalMap:
         except (ValueError, IndexError):
             raise ParseError(f"bad map header {header.strip()!r}", line=1) from None
         m = np.empty((d, d))
-        for i in range(d):
-            line = fh.readline()
-            if not line:
-                raise ParseError(f"map ends after {i} of {d} rows", line=i + 2)
-            vals = line.split()
-            if len(vals) != d:
-                raise ParseError(f"expected {d} values, got {len(vals)}", line=i + 2)
-            try:
-                m[i] = [float(v) for v in vals]
-            except ValueError:
-                raise ParseError("unparseable numeric value", line=i + 2) from None
+        lines = list(itertools.islice(fh, d))
+    if not _parse_map_bulk(lines, m):
+        _parse_map_lines(lines, m)
     bad = np.flatnonzero(~np.isfinite(m).all(axis=1))
     if bad.size:
         raise IntegrityError(
@@ -313,6 +310,49 @@ def load_map(path) -> OrthogonalMap:
         return OrthogonalMap(q=m, _ATOL=_MAP_LOAD_ATOL)
     except InvalidInputError as exc:
         raise IntegrityError(f"stored map: {exc}") from None
+
+
+def _parse_map_bulk(lines, out) -> bool:
+    """Parse map rows into out with one np.loadtxt; False when it cannot.
+
+    Accepts only what _parse_map_lines accepts, with the same values:
+    loadtxt splits on the whitespace str.split splits on and parses
+    tokens as float() does, but refuses some that float() takes
+    (``1_0``, non-ASCII digits); it skips blank lines, which the row
+    count catches.  out is left untouched on False.
+    """
+    # loadtxt warns on input with no data; a blank first row is an error
+    # of the line loop.
+    if not lines or not lines[0].strip():
+        return False
+    try:
+        values = np.loadtxt(lines, comments=None, quotechar=None, ndmin=2)
+    except ValueError:
+        return False
+    if values.shape != out.shape:
+        return False
+    out[...] = values
+    return True
+
+
+def _parse_map_lines(lines, out):
+    """The strict definition of valid map rows, one line at a time.
+
+    lines are rows 1, 2, ... of the map (lines 2, 3, ... of the file);
+    out has one row per row the header declared.  Raises ParseError
+    with the 1-based file line number.
+    """
+    d = out.shape[0]
+    for i in range(d):
+        if i == len(lines):
+            raise ParseError(f"map ends after {i} of {d} rows", line=i + 2)
+        vals = lines[i].split()
+        if len(vals) != d:
+            raise ParseError(f"expected {d} values, got {len(vals)}", line=i + 2)
+        try:
+            out[i] = [float(v) for v in vals]
+        except ValueError:
+            raise ParseError("unparseable numeric value", line=i + 2) from None
 
 
 def load_lexicon(path) -> Lexicon:

@@ -156,8 +156,8 @@ def test_config_validation():
 
 
 def test_vertices_minimize_the_raw_gradient(monkeypatch):
-    # The oracle gets column-reduced costs; each vertex must still be the
-    # exact assignment on the gradient itself.  A run capped at k
+    # The oracle gets the gradient minus entropic dual potentials; each
+    # vertex must still be the exact assignment on the gradient itself.  A run capped at k
     # iterations picks its last vertex at the iterate that the run
     # capped at k - 1 returns.
     rng = np.random.default_rng(12)
@@ -179,3 +179,63 @@ def test_vertices_minimize_the_raw_gradient(monkeypatch):
         want, _ = solve_lap(fw_gradient(g, p))
         assert picked[-1] == want.mapping.tolist()
         p = plan.weights * m
+
+
+def crowded_cost(rng, m):
+    # Low rank plus a little noise: after column reduction the row minima
+    # of such a cost pile up on a few columns, as on the FW gradients.
+    a = rng.standard_normal((m, 3)) @ rng.standard_normal((3, m))
+    cost = a + 1e-3 * rng.standard_normal((m, m))
+    assert len(set((cost - cost.min(axis=0)).argmin(axis=1).tolist())) <= m // 4
+    return cost
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: rng.standard_normal((40, 40)),
+    lambda rng: rng.uniform(0.0, 1.0, (7, 7)),
+    # Far from zero: the kernel must be shifted by min C before exp.
+    lambda rng: 1e3 + rng.standard_normal((30, 30)),
+    lambda rng: -1e6 * rng.uniform(1.0, 2.0, (25, 25)),
+    lambda rng: crowded_cost(rng, 200),
+    lambda rng: fw_gradient(build_grams(rng.standard_normal((80, 6)),
+                                        rng.standard_normal((80, 6)), 80),
+                            np.full((80, 80), 1.0 / 80)),
+], ids=["gaussian", "uniform-m7", "offset", "negative-1e6", "crowded", "fw-gradient"])
+def test_reduced_cost_keeps_the_optimal_assignment(make):
+    cost = make(np.random.default_rng(20))
+    reduced = qap_init._reduced_cost(cost)
+    assert np.isfinite(reduced).all()
+    want, _ = solve_lap(cost)
+    got, _ = solve_lap(reduced)
+    assert got.mapping.tolist() == want.mapping.tolist()
+
+
+def test_reduced_cost_of_a_constant_cost_is_the_cost():
+    cost = np.full((5, 5), -2.5)
+    assert np.array_equal(qap_init._reduced_cost(cost), cost)
+    assert np.array_equal(qap_init._reduced_cost(np.array([[3.0]])), [[3.0]])
+
+
+def test_single_row_relaxation_converges():
+    rng = np.random.default_rng(21)
+    g = build_grams(rng.standard_normal((4, 3)), rng.standard_normal((4, 3)), 1)
+    plan, trace = fw_solve(g)
+    assert plan.converged
+    assert plan.weights.tolist() == [[1.0]]
+    assert len(trace) == 1
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_reduced_cost_with_one_huge_entry(sign):
+    # A span of 1e12 puts epsilon near 3e9.  Every kernel entry must stay
+    # normal: with the huge entry below the rest, all but one entry sit
+    # at the far end of the kernel's range.
+    rng = np.random.default_rng(22)
+    cost = rng.uniform(0.0, 1.0, (12, 12))
+    cost[4, 9] += sign * 1e12
+    reduced = qap_init._reduced_cost(cost)
+    assert np.isfinite(reduced).all()
+    _, total = solve_lap(cost)
+    got, _ = solve_lap(reduced)
+    got_total = float(cost[np.arange(12), got.mapping].sum())
+    assert got_total == pytest.approx(total, rel=1e-12, abs=1e-9)
