@@ -308,14 +308,15 @@ def cmd_translate(args, run) -> int:
         src, tgt = _load_pair(args)
         q = load_map(args.map)
     n_q = src.size if args.max_queries is None else min(args.max_queries, src.size)
-    # CSLS and ISF take per-target statistics over every query, so all
-    # rows are scored and the flag only limits what is written.
+    # Every row is mapped, since a product over fewer rows can round
+    # differently; retrieve scores only the blocks holding the first n_q
+    # rows.  CSLS and ISF statistics still cover every query.
     with run.phase("retrieve"):
         table = retrieve(src.matrix @ q.q, tgt.matrix, _retrieval_config(args),
-                         topk=args.topk)
+                         topk=args.topk, rows=n_q)
     with run.phase("write"), open(args.out, "w", encoding="utf-8") as fh:
-        for word, row_idx, row_sc in zip(src.labels, table.indices[:n_q].tolist(),
-                                         table.scores[:n_q].tolist()):
+        for word, row_idx, row_sc in zip(src.labels, table.indices.tolist(),
+                                         table.scores.tolist()):
             for rank, (j, score) in enumerate(zip(row_idx, row_sc), start=1):
                 fh.write(f"{word}\t{rank}\t{tgt.labels[j]}\t{'%.17g' % score}\n")
     run.outputs.append(args.out)

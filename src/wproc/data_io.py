@@ -6,15 +6,24 @@ single ASCII spaces, UTF-8, optionally gzip-compressed (detected by the
 magic bytes).  Loaders are strict: malformed input is rejected with the
 offending line number, never repaired, because silently dropped or
 deduplicated rows shift the frequency order every downstream stage
-depends on.
+depends on.  ``load_vec`` keeps what it parsed in a file beside its
+input, ``<path>.wproc-cache.npz``, keyed by a sha256 of the bytes it
+read, so a later load of the same bytes skips the text parse.
 """
 
 from __future__ import annotations
 
+import codecs
+import contextlib
+import functools
 import gzip
+import hashlib
 import io
 import itertools
+import os
+import zlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,14 +118,21 @@ class SyntheticInstance:
         )
 
 
-def _open_text(path):
-    """Open possibly-gzipped UTF-8 text for reading."""
+def _open_binary(path):
+    """Open a file for reading its bytes, decompressed when it is gzip."""
     raw = open(path, "rb")
     head = raw.read(2)
     raw.seek(0)
     if head == b"\x1f\x8b":
-        return io.TextIOWrapper(gzip.GzipFile(fileobj=raw), encoding="utf-8")
-    return io.TextIOWrapper(raw, encoding="utf-8")
+        # A GzipFile does not close a file object it was handed.
+        raw.close()
+        return gzip.GzipFile(path, "rb")
+    return raw
+
+
+def _open_text(path):
+    """Open possibly-gzipped UTF-8 text for reading."""
+    return io.TextIOWrapper(_open_binary(path), encoding="utf-8")
 
 
 # Data lines are read and parsed this many at a time, so memory stays
@@ -141,26 +157,187 @@ def load_vec(path, max_rows: int | None = None) -> EmbeddingSet:
     lines are read; the check for rows beyond the header's count reads
     one more line, and only when the whole file is wanted.
 
+    A successful parse is stored beside the file in
+    ``<path>.wproc-cache.npz`` (when that directory is writable), keyed
+    by a sha256 of the bytes the parse read (_vec_key); a later load of
+    the same bytes returns the stored rows without parsing.  The parser
+    stays the only definition of a valid file: a cache file holds only
+    what it returned, and a file it refuses is never cached.
+    """
+    if max_rows is not None and max_rows < 1:
+        raise InvalidArgumentError("max_rows must be at least 1")
+    cache = os.fsdecode(path) + _CACHE_SUFFIX
+    key = _vec_key(path, max_rows)
+    if key is not None:
+        hit = _read_cache(cache, key)
+        if hit is not None:
+            return hit
+    emb = _parse_vec(path, max_rows)
+    if key is not None:
+        _write_cache(path, cache, key, emb)
+    return emb
+
+
+def _header_counts(header):
+    """n and d of a .vec header line; ParseError unless two positive integers."""
+    if not header:
+        raise ParseError("empty file", line=1)
+    parts = header.split()
+    if len(parts) != 2:
+        raise ParseError(f"header must be '<n> <d>', got {header.strip()!r}", line=1)
+    try:
+        n, d = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ParseError(f"non-integer header {header.strip()!r}", line=1) from None
+    if n < 1 or d < 1:
+        raise ParseError(f"header counts must be positive, got {n} {d}", line=1)
+    return n, d
+
+
+# The cache file of a .vec file is its path plus this suffix.
+_CACHE_SUFFIX = ".wproc-cache.npz"
+# Bytes read at a time by the key pass, so memory stays bounded whatever
+# the file size.  It is far more than the 8 KB the text reader decodes
+# ahead of the line it returns.
+_HASH_BLOCK = 1 << 20
+
+
+class _VecKey(NamedTuple):
+    """What a load's cache entry must match, and the file it was taken from."""
+
+    digest: bytes
+    want: int
+    d: int
+    stamp: tuple  # _stamp of the file before the digest was taken
+
+
+def _stamp(st):
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
+@functools.cache
+def _cache_tag():
+    """The first bytes hashed into every key: a sha256 of this module.
+
+    Any change to the parser or to the cache layout changes the source,
+    so older cache files miss without a version tag kept by hand.
+    """
+    with open(__file__, "rb") as fh:
+        return hashlib.sha256(fh.read()).digest()
+
+
+def _vec_key(path, max_rows):
+    """The _VecKey of a load, or None when the cache must be skipped.
+
+    The digest is a sha256 of _cache_tag(), want = min(n, max_rows),
+    and the decompressed bytes the parser can read: the header line,
+    then want lines ending in b"\\n", then the rest of the file when
+    want == n.  A "\\r" also ends a text line, so a binary line holds at
+    least one text line and these bytes cover every line the parser
+    reads.  The content is hashed rather than the size and mtime: a
+    rewrite of the same size within one mtime tick would serve the old
+    rows.
+
+    None when the header is not two positive integers or reading
+    raises; the parser then raises its own error.  Every byte read is
+    also decoded, including one block past the hashed lines that covers
+    the text reader's read-ahead, so a file whose parse would fail on a
+    decode or gzip error never reaches the cache.
+    """
+    try:
+        with _open_binary(path) as fh:
+            stamp = _stamp(os.fstat(fh.fileno()))
+            decode = codecs.getincrementaldecoder("utf-8")().decode
+            header = fh.readline()
+            n, d = _header_counts(decode(header))
+            want = n if max_rows is None else min(n, max_rows)
+            h = hashlib.sha256(_cache_tag() + b"%d\n" % want + header)
+            left = want  # lines still to hash when want < n
+            while block := fh.read(_HASH_BLOCK):
+                decode(block)
+                lines = block.count(b"\n")
+                if want < n and lines >= left:
+                    end = -1
+                    for _ in range(left):
+                        end = block.index(b"\n", end + 1)
+                    h.update(block[: end + 1])
+                    ahead = fh.read(_HASH_BLOCK)
+                    decode(ahead, len(ahead) < _HASH_BLOCK)
+                    break
+                h.update(block)
+                left -= lines
+            else:
+                decode(b"", True)
+    except (OSError, EOFError, ValueError, zlib.error, ParseError):
+        return None
+    return _VecKey(h.digest(), want, d, stamp)
+
+
+def _read_cache(cache, key):
+    """The EmbeddingSet stored in cache under key, or None: a miss.
+
+    A file owned by another user is a miss: anyone who can read the
+    .vec file can compute its key, so in a shared directory such as
+    /tmp another user could plant a file under it.  The open does not
+    block, so a FIFO planted there cannot stall the load.  The cache is
+    best effort and a read never raises: a missing, truncated or
+    corrupt file, another key, or arrays of the wrong dtype or shape
+    are a miss.  The set is rebuilt, so its own checks run again.
+    """
+    try:
+        with open(os.open(cache, os.O_RDONLY | os.O_NONBLOCK), "rb") as fh:
+            if os.fstat(fh.fileno()).st_uid != os.getuid():
+                return None
+            with np.load(fh, allow_pickle=False) as z:
+                if z["key"].tobytes() != key.digest:
+                    return None
+                labels, matrix = z["labels"], z["matrix"]
+        if labels.dtype != np.uint8 or matrix.dtype != np.float64 \
+                or matrix.shape != (key.want, key.d):
+            return None
+        # Words never hold a newline: the text reader ends a line there.
+        words = labels.tobytes().decode("utf-8").split("\n")
+        return EmbeddingSet(labels=tuple(words), matrix=matrix)
+    except Exception:
+        return None
+
+
+def _write_cache(path, cache, key, emb):
+    """Store emb, parsed from path, in cache under key, replacing it atomically.
+
+    Skipped when path changed since its key was taken, as a rewrite
+    during the parse can leave rows the digest does not describe.  An
+    OSError (a read-only directory, a full disk) skips the write and
+    removes the temporary file.
+    """
+    tmp = f"{cache}.{os.urandom(6).hex()}.tmp"
+    try:
+        if _stamp(os.stat(path)) != key.stamp:
+            return
+        # The mode goes through the umask, as for any file the program
+        # writes; mkstemp would make it 0600.
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        with open(fd, "wb") as fh:
+            np.savez(fh, key=np.frombuffer(key.digest, dtype=np.uint8),
+                     labels=np.frombuffer("\n".join(emb.labels).encode("utf-8"),
+                                          dtype=np.uint8),
+                     matrix=emb.matrix)
+        os.replace(tmp, cache)
+    except OSError:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+
+
+def _parse_vec(path, max_rows):
+    """The text parse of load_vec.
+
     Data lines are parsed in chunks by np.loadtxt.  A chunk that fails
     any of its checks is parsed again by _parse_lines, the strict line
     loop that defines a valid file: it raises the error or accepts the
     input (``1_0``, non-ASCII digits) exactly as it would alone.
     """
-    if max_rows is not None and max_rows < 1:
-        raise InvalidArgumentError("max_rows must be at least 1")
     with _open_text(path) as fh:
-        header = fh.readline()
-        if not header:
-            raise ParseError("empty file", line=1)
-        parts = header.split()
-        if len(parts) != 2:
-            raise ParseError(f"header must be '<n> <d>', got {header.strip()!r}", line=1)
-        try:
-            n, d = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"non-integer header {header.strip()!r}", line=1) from None
-        if n < 1 or d < 1:
-            raise ParseError(f"header counts must be positive, got {n} {d}", line=1)
+        n, d = _header_counts(fh.readline())
         want = n if max_rows is None else min(n, max_rows)
         labels = []
         seen = set()
@@ -289,7 +466,8 @@ def load_map(path) -> OrthogonalMap:
 
     The d rows are parsed by one np.loadtxt (_parse_map_bulk).  Rows it
     refuses are parsed again by _parse_map_lines, the strict line loop
-    that defines a valid map file and raises its errors.
+    that defines a valid map file and raises its errors.  As in load_vec,
+    the line after the declared rows must be blank or absent.
     """
     with _open_text(path) as fh:
         header = fh.readline()
@@ -297,10 +475,15 @@ def load_map(path) -> OrthogonalMap:
             d = int(header.split()[0])
         except (ValueError, IndexError):
             raise ParseError(f"bad map header {header.strip()!r}", line=1) from None
+        if d < 1:
+            raise ParseError(f"map dimension must be positive, got {d}", line=1)
         m = np.empty((d, d))
         lines = list(itertools.islice(fh, d))
+        extra = fh.readline()
     if not _parse_map_bulk(lines, m):
         _parse_map_lines(lines, m)
+    if extra.strip():
+        raise ParseError(f"more rows than the header's {d}", line=d + 2)
     bad = np.flatnonzero(~np.isfinite(m).all(axis=1))
     if bad.size:
         raise IntegrityError(

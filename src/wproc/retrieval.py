@@ -217,12 +217,18 @@ def _scored_blocks(q, t, kind: str, k: int, beta: float,
         yield lo, hi, s
 
 
-def retrieve(queries, targets, cfg: RetrievalConfig | None = None, topk: int = 1) -> NeighborTable:
+def retrieve(queries, targets, cfg: RetrievalConfig | None = None, topk: int = 1,
+             rows: int | None = None) -> NeighborTable:
     """Top-scoring target indices per query under the configured scorer.
 
     Only the first cfg.candidate_cap target rows are searched.  Queries
     are processed in blocks; CSLS and ISF need one extra pass over the
     blocks to assemble their per-target statistics.
+
+    With rows, only the first rows queries are returned, and no block
+    after theirs is scored.  Statistics still cover every query and the
+    blocks are those of the unlimited call, so each returned row is
+    bit-identical to its row there.
     """
     if cfg is None:
         cfg = RetrievalConfig()
@@ -231,12 +237,18 @@ def retrieve(queries, targets, cfg: RetrievalConfig | None = None, topk: int = 1
     nq, nt = q.shape[0], t.shape[0]
     if topk < 1 or topk > nt:
         raise InvalidArgumentError(f"topk={topk} out of range for {nt} targets")
+    if rows is not None and rows < 1:
+        raise InvalidArgumentError(f"rows must be at least 1, got {rows}")
     if cfg.kind == KIND_CSLS and (cfg.csls_k > nt or cfg.csls_k > nq):
         raise InvalidArgumentError(
             f"csls_k={cfg.csls_k} exceeds set sizes (queries {nq}, targets {nt})"
         )
-    out_idx = np.empty((nq, topk), dtype=np.int64)
-    out_sc = np.empty((nq, topk))
+    n_out = nq if rows is None else min(rows, nq)
+    out_idx = np.empty((n_out, topk), dtype=np.int64)
+    out_sc = np.empty((n_out, topk))
     for lo, hi, s in _scored_blocks(q, t, cfg.kind, cfg.csls_k, cfg.isf_beta):
-        out_idx[lo:hi], out_sc[lo:hi] = _select_top(s, topk)
+        hi = min(hi, n_out)
+        out_idx[lo:hi], out_sc[lo:hi] = _select_top(s[: hi - lo], topk)
+        if hi == n_out:
+            break
     return NeighborTable(indices=out_idx, scores=out_sc)

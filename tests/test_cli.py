@@ -10,6 +10,7 @@ import pytest
 
 import wproc
 import wproc.refine as refine_mod
+import wproc.retrieval as retrieval_mod
 import wproc.sinkhorn as sinkhorn_mod
 from wproc import __version__
 from wproc.cli import main
@@ -131,6 +132,41 @@ def test_translate_max_queries_only_limits_output(inst, tmp_path, kind):
     every = open(tmp_path / "all.tsv", encoding="utf-8").read().splitlines()
     head = open(tmp_path / "head.tsv", encoding="utf-8").read().splitlines()
     assert head == every[:15]
+
+
+@pytest.mark.parametrize("kind", ["nn", "csls", "isf"])
+@pytest.mark.parametrize("n", [1, 5])
+def test_translate_max_queries_output_is_the_head_of_a_full_run(inst, tmp_path,
+                                                                monkeypatch, kind, n):
+    # Every row is mapped and scored in the blocks of a full run, so the
+    # bytes of a row do not depend on how many rows are written.  A
+    # product over the first row alone rounds differently; 4-row blocks
+    # end the last written row mid-block at n=5.
+    monkeypatch.setattr(retrieval_mod, "_BLOCK_SIZE", 4)
+    argv = ("translate", inst["src"], inst["tgt"], "--map", inst["map"],
+            "--retrieval", kind, "--topk", 3)
+    assert run(*argv, "--out", tmp_path / "all.tsv") == 0
+    assert run(*argv, "--out", tmp_path / "head.tsv", "--max-queries", n) == 0
+    every = (tmp_path / "all.tsv").read_bytes().splitlines(keepends=True)
+    assert (tmp_path / "head.tsv").read_bytes() == b"".join(every[:3 * n])
+
+
+def test_translate_nn_max_queries_scores_only_the_blocks_it_writes(inst, tmp_path,
+                                                                   monkeypatch):
+    monkeypatch.setattr(retrieval_mod, "_BLOCK_SIZE", 4)
+    scored = []
+    cos_blocks = retrieval_mod._cos_blocks
+
+    def spy(qn, tn):
+        for lo, hi, s in cos_blocks(qn, tn):
+            scored.append((lo, hi))
+            yield lo, hi, s
+
+    monkeypatch.setattr(retrieval_mod, "_cos_blocks", spy)
+    assert run("translate", inst["src"], inst["tgt"], "--map", inst["map"],
+               "--retrieval", "nn", "--max-queries", 5,
+               "--out", tmp_path / "head.tsv") == 0
+    assert scored == [(0, 4), (4, 8)]
 
 
 @pytest.mark.parametrize("matcher, missed", [("sinkhorn", 4), ("hungarian", 0)])

@@ -1,6 +1,11 @@
 """File formats: strict parsing, round trips, synthetic generator."""
 
 import gzip
+import hashlib
+import io
+import os
+import stat
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -268,6 +273,264 @@ def test_file_ending_at_a_chunk_boundary_is_truncated(tmp_path, monkeypatch):
     assert str(err.value) == "line 10: file ends after 8 data rows, header declared 9"
 
 
+# --------------------------------------------------------------------------
+# The parse cache beside each .vec file.
+
+
+def cache_of(path):
+    return str(path) + data_io._CACHE_SUFFIX
+
+
+@pytest.fixture
+def no_parse(monkeypatch):
+    """Call to make every later load_vec fail unless the cache serves it."""
+
+    def refuse(path, max_rows):
+        raise AssertionError(f"{path} was parsed, not served from its cache")
+
+    return lambda: monkeypatch.setattr(data_io, "_parse_vec", refuse)
+
+
+# Words with non-ASCII letters and tabs; a tab is part of a word.
+WORDS = ("naïve", "日本", "a\tb", "\tlead", "Ωmega", "x")
+
+
+def vec_text(n, d, rows=None, seed=0, words=None):
+    """A .vec body: header n d, then rows data lines (default n)."""
+    rng = np.random.default_rng(seed)
+    rows = n if rows is None else rows
+    words = words or [f"w{i}" for i in range(rows)]
+    body = "".join(w + " " + " ".join("%.17g" % v for v in rng.standard_normal(d)) + "\n"
+                   for w in words[:rows])
+    return f"{n} {d}\n" + body
+
+
+@pytest.mark.parametrize("block", [64, None])
+@pytest.mark.parametrize("name, max_rows", [
+    ("a.vec", None), ("a.vec.gz", None), ("a.vec", 4), ("a.vec", 6), ("a.vec", 50),
+])
+def test_cache_hit_is_bit_identical_to_the_parse(tmp_path, monkeypatch, no_parse,
+                                                 block, name, max_rows):
+    # 64-byte blocks put line ends and the max_rows cut across block edges.
+    if block is not None:
+        monkeypatch.setattr(data_io, "_HASH_BLOCK", block)
+    text = vec_text(len(WORDS), 5, words=WORDS)
+    p = tmp_path / name
+    p.write_bytes(gzip.compress(text.encode()) if name.endswith(".gz") else text.encode())
+    parsed = load_vec(str(p), max_rows)
+    assert parsed.labels == WORDS[:max_rows]
+    assert os.path.exists(cache_of(p))
+    no_parse()
+    hit = load_vec(str(p), max_rows)
+    assert hit.labels == parsed.labels
+    assert_same_bits(hit.matrix, parsed.matrix)
+
+
+@pytest.mark.parametrize("error", [None, "unparseable numeric value"])
+def test_same_size_rewrite_with_the_old_mtime_is_not_served(tmp_path, error):
+    # 6000 rows of about 200 bytes: the changed byte sits past the first
+    # 64 KB and past the first 1 MB hash block.
+    n = 6000
+    p = tmp_path / "a.vec"
+    p.write_text(vec_text(n, 10), encoding="utf-8")
+    first = load_vec(str(p))
+    st = os.stat(p)
+    raw = bytearray(p.read_bytes())
+    i = raw.rindex(b"0.") + 3  # a digit of the last row
+    raw[i] = ord("z") if error else ord("7") if raw[i] != ord("7") else ord("8")
+    p.write_bytes(bytes(raw))
+    os.utime(p, ns=(st.st_atime_ns, st.st_mtime_ns))
+    assert os.stat(p).st_size == st.st_size
+    if error is None:
+        again = load_vec(str(p))
+        assert not np.array_equal(again.matrix[-1], first.matrix[-1])
+        assert_same_bits(again.matrix, loop_parse(str(p))[1])
+    else:
+        with pytest.raises(ParseError) as err:
+            load_vec(str(p))
+        assert str(err.value) == f"line {n + 1}: {error}"
+
+
+def test_a_max_rows_cache_is_not_served_to_a_full_load(tmp_path, no_parse):
+    p = tmp_path / "a.vec"
+    p.write_text(vec_text(9, 3), encoding="utf-8")
+    assert load_vec(str(p), max_rows=5).size == 5
+    assert load_vec(str(p)).size == 9
+    # Only the wanted rows are hashed: a change after them is still a hit.
+    head = load_vec(str(p), max_rows=5)
+    p.write_text(vec_text(9, 3).replace("w8 ", "v8 "), encoding="utf-8")
+    no_parse()
+    assert_same_bits(load_vec(str(p), max_rows=5).matrix, head.matrix)
+
+
+def test_a_max_rows_cache_does_not_hide_truncation(tmp_path):
+    # Header 9, 5 rows: a max_rows=5 load is whole, a full load is not.
+    p = tmp_path / "a.vec"
+    p.write_text(vec_text(9, 3, rows=5), encoding="utf-8")
+    assert load_vec(str(p), max_rows=5).size == 5
+    with pytest.raises(ParseError) as err:
+        load_vec(str(p))
+    assert str(err.value) == "line 7: file ends after 5 data rows, header declared 9"
+
+
+def test_a_hit_does_not_hide_a_decode_error_the_parser_would_meet(tmp_path, monkeypatch):
+    # The text reader decodes ahead of the lines it returns, so a bad byte
+    # in the row after the wanted ones fails the parse of a max_rows load.
+    # A hash block that ends with the wanted rows leaves that byte to the
+    # block read past them.
+    p = tmp_path / "a.vec"
+    lines = vec_text(9, 3).encode().splitlines(keepends=True)
+    monkeypatch.setattr(data_io, "_HASH_BLOCK", len(lines[1]) + len(lines[2]))
+    p.write_bytes(b"".join(lines))
+    load_vec(str(p), max_rows=2)
+    lines[3] = lines[3][:-2] + b"\xff\n"
+    p.write_bytes(b"".join(lines))
+    with pytest.raises(UnicodeDecodeError):
+        load_vec(str(p), max_rows=2)
+
+
+def flip_method(raw, method):
+    at = raw.index(b"PK\x01\x02") + 10
+    return raw[:at] + method.to_bytes(2, "little") + raw[at + 2:]
+
+
+def npy_bytes(a):
+    buf = io.BytesIO()
+    np.save(buf, a)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("damage", [
+    lambda raw, other: raw[: len(raw) // 2],  # truncated
+    lambda raw, other: raw[:100] + bytes(200) + raw[300:],  # zip CRC fails
+    lambda raw, other: np.random.default_rng(0).bytes(len(raw)),  # garbage
+    lambda raw, other: b"",
+    lambda raw, other: other,  # the cache of another file: another key
+    # The compression method of the first central-directory entry set to
+    # deflate (zlib.error on stored bytes) and to an unknown method
+    # (NotImplementedError).
+    lambda raw, other: flip_method(raw, 8),
+    lambda raw, other: flip_method(raw, 99),
+    lambda raw, other: npy_bytes(np.zeros(3)),  # np.load returns an array
+])
+def test_a_damaged_cache_is_a_miss_and_is_rewritten(tmp_path, no_parse, damage):
+    p, q = tmp_path / "a.vec", tmp_path / "b.vec"
+    p.write_text(vec_text(40, 8), encoding="utf-8")
+    q.write_text(vec_text(40, 8, seed=1), encoding="utf-8")
+    want = load_vec(str(p))
+    load_vec(str(q))
+    with open(cache_of(p), "rb") as fh:
+        raw = fh.read()
+    with open(cache_of(q), "rb") as fh:
+        other = fh.read()
+    with open(cache_of(p), "wb") as fh:
+        fh.write(damage(raw, other))
+    assert_same_bits(load_vec(str(p)).matrix, want.matrix)
+    no_parse()
+    assert_same_bits(load_vec(str(p)).matrix, want.matrix)
+
+
+def test_a_cache_with_the_right_key_and_the_wrong_shape_is_a_miss(tmp_path):
+    p = tmp_path / "a.vec"
+    p.write_text(vec_text(4, 3), encoding="utf-8")
+    key = data_io._vec_key(str(p), None)
+    np.savez(cache_of(p), key=np.frombuffer(key.digest, dtype=np.uint8),
+             labels=np.frombuffer(b"w0\nw1\nw2\nw3", dtype=np.uint8),
+             matrix=np.zeros((4, 4)))
+    assert load_vec(str(p)).dim == 3
+
+
+def plant_zero_cache(p):
+    """Write p's cache file with the right key and an all-zero matrix."""
+    key = data_io._vec_key(str(p), None)
+    np.savez(cache_of(p), key=np.frombuffer(key.digest, dtype=np.uint8),
+             labels=np.frombuffer(b"w0\nw1\nw2\nw3", dtype=np.uint8),
+             matrix=np.zeros((key.want, key.d)))
+
+
+def test_a_cache_owned_by_another_user_is_a_miss(tmp_path, monkeypatch):
+    # Anyone who can read a.vec can compute its key, so the key alone
+    # does not make a cache file trustworthy.
+    p = tmp_path / "a.vec"
+    p.write_text(vec_text(4, 3), encoding="utf-8")
+    plant_zero_cache(p)
+    assert not load_vec(str(p)).matrix.any()  # our own file is served
+    uid = os.getuid()
+    monkeypatch.setattr(data_io.os, "getuid", lambda: uid + 1)
+    assert_same_bits(load_vec(str(p)).matrix, loop_parse(str(p))[1])
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+def test_a_fifo_at_the_cache_path_does_not_stall_the_load(tmp_path):
+    p = tmp_path / "a.vec"
+    p.write_text(vec_text(4, 3), encoding="utf-8")
+    os.mkfifo(cache_of(p))
+    out = []
+    # A blocking open of a FIFO with no writer would never return.
+    t = threading.Thread(target=lambda: out.append(load_vec(str(p))), daemon=True)
+    t.start()
+    t.join(30)
+    assert out and out[0].size == 4
+
+
+def test_a_change_to_the_parser_source_makes_older_caches_miss(tmp_path, monkeypatch):
+    p = tmp_path / "a.vec"
+    p.write_text(vec_text(4, 3), encoding="utf-8")
+    plant_zero_cache(p)
+    monkeypatch.setattr(data_io, "_cache_tag", lambda: b"another parser")
+    assert_same_bits(load_vec(str(p)).matrix, loop_parse(str(p))[1])
+
+
+def test_the_cache_tag_is_a_digest_of_the_module_source():
+    with open(data_io.__file__, "rb") as fh:
+        assert data_io._cache_tag() == hashlib.sha256(fh.read()).digest()
+
+
+def test_a_failed_cache_write_leaves_no_file(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied", dst)
+
+    monkeypatch.setattr(data_io.os, "replace", refuse)
+    p = tmp_path / "a.vec"
+    p.write_text(vec_text(5, 3), encoding="utf-8")
+    assert load_vec(str(p)).size == 5
+    assert os.listdir(tmp_path) == ["a.vec"]
+
+
+def test_a_file_that_fails_to_parse_leaves_no_cache(tmp_path):
+    p = tmp_path / "bad.vec"
+    p.write_text(vec_text(5, 3) + "w9 1 2 3\n", encoding="utf-8")
+    with pytest.raises(ParseError):
+        load_vec(str(p))
+    assert os.listdir(tmp_path) == ["bad.vec"]
+
+
+def test_a_file_rewritten_during_its_parse_is_not_cached(tmp_path, monkeypatch):
+    p = tmp_path / "a.vec"
+    p.write_text(vec_text(5, 3), encoding="utf-8")
+    parse = data_io._parse_vec
+
+    def parse_then_rewrite(path, max_rows):
+        out = parse(path, max_rows)
+        p.write_text(vec_text(5, 3, seed=1), encoding="utf-8")
+        return out
+
+    monkeypatch.setattr(data_io, "_parse_vec", parse_then_rewrite)
+    load_vec(str(p))
+    assert os.listdir(tmp_path) == ["a.vec"]
+
+
+def test_the_cache_file_mode_follows_the_umask(tmp_path):
+    p = tmp_path / "a.vec"
+    p.write_text(vec_text(5, 3), encoding="utf-8")
+    old = os.umask(0o027)
+    try:
+        load_vec(str(p))
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(os.stat(cache_of(p)).st_mode) == 0o640
+
+
 def test_vec_round_trip(tmp_path):
     rng = np.random.default_rng(0)
     e = EmbeddingSet(
@@ -458,6 +721,30 @@ def test_load_map_takes_what_float_takes(tmp_path, map_loop_calls, body):
     # them, so these rows load through the line loop.
     assert load_map(write(tmp_path / "q.map", body)).q.tolist() == [[1.0, 0.0], [0.0, 1.0]]
     assert len(map_loop_calls) == 1
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("body, message", [
+    ("0\n", "line 1: map dimension must be positive, got 0"),
+    ("-1\n1\n", "line 1: map dimension must be positive, got -1"),
+    # Rows after the declared ones are refused, as load_vec refuses them.
+    ("2\n1 0\n0 1\n0 1\n", "line 4: more rows than the header's 2"),
+    ("1\n1\n 2 \n", "line 3: more rows than the header's 1"),
+])
+def test_load_map_refuses_empty_dimensions_and_extra_rows(tmp_path, body, message):
+    with pytest.raises(ParseError) as err:
+        load_map(write(tmp_path / "q.map", body))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("tail", ["", "\n", " \t\n"])
+def test_load_map_takes_a_blank_line_after_the_rows(tmp_path, tail):
+    q = OrthogonalMap(q=np.eye(2))
+    p = tmp_path / "q.map"
+    save_map(str(p), q)
+    with open(p, "a", encoding="utf-8") as fh:
+        fh.write(tail)
+    assert_same_bits(load_map(str(p)).q, q.q)
 
 
 def test_load_lexicon(tmp_path):

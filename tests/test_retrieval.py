@@ -116,6 +116,36 @@ def test_blocked_equals_full_matrix(monkeypatch):
         assert np.abs(small.scores - big.scores).max() < 1e-12
 
 
+@pytest.mark.parametrize("kind", ["nn", "csls", "isf"])
+def test_rows_returns_the_unlimited_rows_and_scores_only_their_blocks(monkeypatch, kind):
+    monkeypatch.setattr(retrieval_mod, "_BLOCK_SIZE", 7)
+    rng = np.random.default_rng(8)
+    q = unit(rng.standard_normal((40, 6)))
+    t = unit(rng.standard_normal((25, 6)))
+    cfg = RetrievalConfig(kind=kind, csls_k=3)
+    full = retrieve(q, t, cfg, topk=4)
+    scored = []
+    cos_blocks = retrieval_mod._cos_blocks
+
+    def spy(qn, tn):
+        for lo, hi, s in cos_blocks(qn, tn):
+            scored.append(lo)
+            yield lo, hi, s
+
+    monkeypatch.setattr(retrieval_mod, "_cos_blocks", spy)
+    for rows in (1, 7, 9, 40, 100):
+        scored.clear()
+        head = retrieve(q, t, cfg, topk=4, rows=rows)
+        assert np.array_equal(head.indices, full.indices[:rows])
+        assert np.array_equal(head.scores.view(np.uint64), full.scores[:rows].view(np.uint64))
+        # CSLS and ISF take one pass over all 6 blocks for their
+        # statistics; scoring stops after the block holding row rows - 1.
+        stats = [] if kind == "nn" else list(range(0, 40, 7))
+        assert scored == stats + list(range(0, min(rows, 40), 7))
+    with pytest.raises(InvalidArgumentError):
+        retrieve(q, t, cfg, rows=0)
+
+
 def test_retrieve_selects_naive_argmax(monkeypatch):
     monkeypatch.setattr(retrieval_mod, "_BLOCK_SIZE", 8)
     rng = np.random.default_rng(5)
