@@ -9,6 +9,8 @@ deduplicated rows shift the frequency order every downstream stage
 depends on.  ``load_vec`` keeps what it parsed in a file beside its
 input, ``<path>.wproc-cache.npz``, keyed by a sha256 of the bytes it
 read, so a later load of the same bytes skips the text parse.
+``save_map`` stores the matrix it wrote the same way, so ``load_map``
+skips the parse of any map file it finds unchanged.
 """
 
 from __future__ import annotations
@@ -169,12 +171,14 @@ def load_vec(path, max_rows: int | None = None) -> EmbeddingSet:
     cache = os.fsdecode(path) + _CACHE_SUFFIX
     key = _vec_key(path, max_rows)
     if key is not None:
-        hit = _read_cache(cache, key)
+        hit = _read_cache(cache, key.digest, lambda z: _cached_set(z, key))
         if hit is not None:
             return hit
     emb = _parse_vec(path, max_rows)
     if key is not None:
-        _write_cache(path, cache, key, emb)
+        labels = np.frombuffer("\n".join(emb.labels).encode("utf-8"), dtype=np.uint8)
+        _write_cache(cache, key.digest, {"labels": labels, "matrix": emb.matrix},
+                     source=(path, key.stamp))
     return emb
 
 
@@ -194,7 +198,7 @@ def _header_counts(header):
     return n, d
 
 
-# The cache file of a .vec file is its path plus this suffix.
+# The cache file of a .vec file or a saved map is its path plus this suffix.
 _CACHE_SUFFIX = ".wproc-cache.npz"
 # Bytes read at a time by the key pass, so memory stays bounded whatever
 # the file size.  It is far more than the 8 KB the text reader decodes
@@ -273,55 +277,63 @@ def _vec_key(path, max_rows):
     return _VecKey(h.digest(), want, d, stamp)
 
 
-def _read_cache(cache, key):
-    """The EmbeddingSet stored in cache under key, or None: a miss.
+def _read_cache(cache, digest, build):
+    """build(z) of the archive z stored in cache under digest, or None: a miss.
 
     A file owned by another user is a miss: anyone who can read the
-    .vec file can compute its key, so in a shared directory such as
-    /tmp another user could plant a file under it.  The open does not
-    block, so a FIFO planted there cannot stall the load.  The cache is
-    best effort and a read never raises: a missing, truncated or
-    corrupt file, another key, or arrays of the wrong dtype or shape
-    are a miss.  The set is rebuilt, so its own checks run again.
+    file it was made from can compute its key, so in a shared directory
+    such as /tmp another user could plant a file under it.  The open
+    does not block, so a FIFO planted there cannot stall the load.  The
+    cache is best effort and a read never raises: a missing, truncated
+    or corrupt file, another key, or whatever build raises is a miss.
+    build returns None for arrays of the wrong dtype or shape.
     """
     try:
         with open(os.open(cache, os.O_RDONLY | os.O_NONBLOCK), "rb") as fh:
             if os.fstat(fh.fileno()).st_uid != os.getuid():
                 return None
             with np.load(fh, allow_pickle=False) as z:
-                if z["key"].tobytes() != key.digest:
+                if z["key"].tobytes() != digest:
                     return None
-                labels, matrix = z["labels"], z["matrix"]
-        if labels.dtype != np.uint8 or matrix.dtype != np.float64 \
-                or matrix.shape != (key.want, key.d):
-            return None
-        # Words never hold a newline: the text reader ends a line there.
-        words = labels.tobytes().decode("utf-8").split("\n")
-        return EmbeddingSet(labels=tuple(words), matrix=matrix)
+                return build(z)
     except Exception:
         return None
 
 
-def _write_cache(path, cache, key, emb):
-    """Store emb, parsed from path, in cache under key, replacing it atomically.
+def _stored_matrix(z, shape):
+    """The float64 "matrix" of archive z, or None unless it has this shape."""
+    m = z["matrix"]
+    return m if m.dtype == np.float64 and m.shape == shape else None
 
-    Skipped when path changed since its key was taken, as a rewrite
-    during the parse can leave rows the digest does not describe.  An
-    OSError (a read-only directory, a full disk) skips the write and
-    removes the temporary file.
+
+def _cached_set(z, key):
+    """The EmbeddingSet in a .vec cache archive, rebuilt so its checks run again."""
+    labels, matrix = z["labels"], _stored_matrix(z, (key.want, key.d))
+    if labels.dtype != np.uint8 or matrix is None:
+        return None
+    # Words never hold a newline: the text reader ends a line there.
+    words = labels.tobytes().decode("utf-8").split("\n")
+    return EmbeddingSet(labels=tuple(words), matrix=matrix)
+
+
+def _write_cache(cache, digest, arrays, source=None):
+    """Store arrays in cache under digest, replacing it atomically.
+
+    With source, a (path, _stamp) pair taken before digest, the write is
+    skipped when that file has changed since, as a rewrite during a
+    parse can leave rows the digest does not describe.  An OSError (a
+    read-only directory, a full disk) skips the write and removes the
+    temporary file.
     """
     tmp = f"{cache}.{os.urandom(6).hex()}.tmp"
     try:
-        if _stamp(os.stat(path)) != key.stamp:
+        if source is not None and _stamp(os.stat(source[0])) != source[1]:
             return
         # The mode goes through the umask, as for any file the program
         # writes; mkstemp would make it 0600.
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
         with open(fd, "wb") as fh:
-            np.savez(fh, key=np.frombuffer(key.digest, dtype=np.uint8),
-                     labels=np.frombuffer("\n".join(emb.labels).encode("utf-8"),
-                                          dtype=np.uint8),
-                     matrix=emb.matrix)
+            np.savez(fh, key=np.frombuffer(digest, dtype=np.uint8), **arrays)
         os.replace(tmp, cache)
     except OSError:
         with contextlib.suppress(OSError):
@@ -448,13 +460,24 @@ def save_map(path, q: OrthogonalMap):
     """Write a map as a dimension line then d rows of d values.
 
     Values are written with 17 significant digits so the round trip is
-    exact for float64, formatted a row at a time.
+    exact for float64, formatted a row at a time.  The matrix is also
+    stored in ``<path>.wproc-cache.npz`` (when that directory is
+    writable), keyed by a sha256 of the text bytes written (_map_digest),
+    for load_map to read in place of the parse.
     """
     fmt = " ".join(["%.17g"] * q.dim) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{q.dim}\n")
-        for row in q.q:
-            fh.write(fmt % tuple(row.tolist()))
+    text = (f"{q.dim}\n" + "".join(fmt % tuple(row.tolist()) for row in q.q)
+            ).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(text)
+    _write_cache(os.fsdecode(path) + _CACHE_SUFFIX, _map_digest(text), {"matrix": q.q})
+
+
+def _map_digest(raw):
+    """The cache key of a map file's bytes: a sha256 of _cache_tag() and raw."""
+    h = hashlib.sha256(_cache_tag())
+    h.update(raw)
+    return h.digest()
 
 
 # A stored map passes its load check when ||q'q - I||_F is within this.
@@ -464,26 +487,30 @@ _MAP_LOAD_ATOL = 1e-6
 def load_map(path) -> OrthogonalMap:
     """Read a stored map, checking on load that it is finite and orthogonal (1e-6).
 
-    The d rows are parsed by one np.loadtxt (_parse_map_bulk).  Rows it
-    refuses are parsed again by _parse_map_lines, the strict line loop
-    that defines a valid map file and raises its errors.  As in load_vec,
-    the line after the declared rows must be blank or absent.
+    The file's bytes are read once.  When ``<path>.wproc-cache.npz``
+    holds a matrix under their _map_digest, as save_map leaves it, that
+    matrix is used.  Otherwise the d rows are parsed by one np.loadtxt
+    (_parse_map_bulk); rows it refuses are parsed again by
+    _parse_map_lines, the strict line loop that defines a valid map file
+    and raises its errors.  The header must be one positive integer and,
+    as in load_vec, the line after the declared rows must be blank or
+    absent.  The finite and orthogonality checks run on every load, and
+    load_map writes no file.
     """
-    with _open_text(path) as fh:
-        header = fh.readline()
-        try:
-            d = int(header.split()[0])
-        except (ValueError, IndexError):
-            raise ParseError(f"bad map header {header.strip()!r}", line=1) from None
-        if d < 1:
-            raise ParseError(f"map dimension must be positive, got {d}", line=1)
-        m = np.empty((d, d))
-        lines = list(itertools.islice(fh, d))
-        extra = fh.readline()
-    if not _parse_map_bulk(lines, m):
-        _parse_map_lines(lines, m)
-    if extra.strip():
-        raise ParseError(f"more rows than the header's {d}", line=d + 2)
+    with _open_binary(path) as fh:
+        raw = fh.read()
+    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8") as fh:
+        d = _map_dim(fh.readline())
+        m = _read_cache(os.fsdecode(path) + _CACHE_SUFFIX, _map_digest(raw),
+                        lambda z: _stored_matrix(z, (d, d)))
+        if m is None:
+            m = np.empty((d, d))
+            lines = list(itertools.islice(fh, d))
+            extra = fh.readline()
+            if not _parse_map_bulk(lines, m):
+                _parse_map_lines(lines, m)
+            if extra.strip():
+                raise ParseError(f"more rows than the header's {d}", line=d + 2)
     bad = np.flatnonzero(~np.isfinite(m).all(axis=1))
     if bad.size:
         raise IntegrityError(
@@ -493,6 +520,20 @@ def load_map(path) -> OrthogonalMap:
         return OrthogonalMap(q=m, _ATOL=_MAP_LOAD_ATOL)
     except InvalidInputError as exc:
         raise IntegrityError(f"stored map: {exc}") from None
+
+
+def _map_dim(header):
+    """d of a map's header line; ParseError unless one positive integer."""
+    parts = header.split()
+    if len(parts) != 1:
+        raise ParseError(f"map header must be '<d>', got {header.strip()!r}", line=1)
+    try:
+        d = int(parts[0])
+    except ValueError:
+        raise ParseError(f"bad map header {header.strip()!r}", line=1) from None
+    if d < 1:
+        raise ParseError(f"map dimension must be positive, got {d}", line=1)
+    return d
 
 
 def _parse_map_bulk(lines, out) -> bool:

@@ -93,9 +93,10 @@ def mutual_nn_dictionary(
     ns, nt = xs.shape[0], ys.shape[0]
     k = min(csls_k, ns, nt)
 
-    # Row argmax directly, column argmax as a running best.  Blocks
-    # ascend and argmax takes the first maximum, so ties resolve to the
-    # lowest index in both directions.
+    # Row argmax directly, column argmax as a running best: a column's
+    # index is the first row of the block that attains its maximum.
+    # Blocks ascend and argmax takes the first maximum, so ties resolve
+    # to the lowest index in both directions.
     fwd = np.empty(ns, dtype=np.int64)
     col_best = np.full(nt, -np.inf)
     bwd = np.zeros(nt, dtype=np.int64)
@@ -103,8 +104,8 @@ def mutual_nn_dictionary(
                                     ("source", "target")):
         fwd[lo:hi] = np.argmax(s, axis=1)
         blk_best = s.max(axis=0)
-        update = blk_best > col_best
-        bwd[update] = lo + np.argmax(s[:, update], axis=0)
+        update = np.flatnonzero(blk_best > col_best)
+        bwd[update] = lo + np.argmax((s == blk_best)[:, update], axis=0)
         col_best[update] = blk_best[update]
 
     src = np.flatnonzero(bwd[fwd] == np.arange(ns))

@@ -7,10 +7,12 @@ endpoints to their cross-set nearest neighbors, demoting points that are
 close to everything.  Inverted softmax normalizes a target's affinity
 over the whole query set, so a hub's mass is spread thin.
 
-Score matrices are computed in blocks of _BLOCK_SIZE query rows, so
-peak memory stays bounded at _BLOCK_SIZE x candidate_cap.  This blocked
-engine is the only scorer; the dense reference formulas live with the
-tests.
+Score matrices are computed in blocks of _BLOCK_SIZE query rows.  The
+per-target statistics of CSLS and inverted softmax come from blocks of
+target rows against every query, sized to hold no more cosines than a
+score block, so peak memory stays bounded at _BLOCK_SIZE x
+candidate_cap whichever set is larger.  This blocked engine is the only
+scorer; the dense reference formulas live with the tests.
 """
 
 from __future__ import annotations
@@ -113,12 +115,14 @@ def _as_pair(queries, targets):
 
 
 def _top_k_row_means(scores: np.ndarray, k: int) -> np.ndarray:
-    """Mean of the k largest entries of each row."""
+    """Mean of the k largest entries of each row, k at most the row length.
+
+    The entries of each row are reordered in place.
+    """
     n = scores.shape[1]
-    if k >= n:
-        return scores.mean(axis=1)
-    part = np.partition(scores, n - k, axis=1)[:, n - k :]
-    return part.mean(axis=1)
+    if k < n:
+        scores.partition(n - k, axis=1)
+    return scores[:, n - k :].mean(axis=1)
 
 
 def _check_unit(x: np.ndarray, side: str):
@@ -162,11 +166,38 @@ def _select_top(scores: np.ndarray, topk: int):
     return idx, -vals
 
 
-def _cos_blocks(qn: np.ndarray, tn: np.ndarray):
-    """Yield (lo, hi, cosines of query rows lo:hi against every target)."""
-    for lo in range(0, qn.shape[0], _BLOCK_SIZE):
-        hi = min(lo + _BLOCK_SIZE, qn.shape[0])
-        yield lo, hi, qn[lo:hi] @ tn.T
+def _cos_blocks(a: np.ndarray, b: np.ndarray, rows: int | None = None):
+    """Yield (lo, hi, cosines of rows lo:hi of a against every row of b).
+
+    Each block holds rows rows of a; _BLOCK_SIZE when rows is None.
+    """
+    rows = rows or _BLOCK_SIZE
+    for lo in range(0, a.shape[0], rows):
+        hi = min(lo + rows, a.shape[0])
+        yield lo, hi, a[lo:hi] @ b.T
+
+
+def _target_stats(qn, tn, kind: str, k: int, beta: float) -> np.ndarray:
+    """Per-target statistic over every query: CSLS's r_q or ISF's log-sum-exp.
+
+    Walks blocks of target rows against all queries, each holding no
+    more cosines than one score block (_BLOCK_SIZE x n_targets) unless a
+    single target row holds more, and reduces each block along its rows
+    in place.
+    """
+    nq, nt = qn.shape[0], tn.shape[0]
+    out = np.empty(nt)
+    rows = max(1, _BLOCK_SIZE * nt // nq)
+    for lo, hi, ct in _cos_blocks(tn, qn, rows):
+        if kind == KIND_CSLS:
+            out[lo:hi] = _top_k_row_means(ct, k)
+        else:
+            ct *= beta
+            m = ct.max(axis=1)
+            ct -= m[:, None]
+            np.exp(ct, out=ct)
+            out[lo:hi] = np.log(ct.sum(axis=1)) + m
+    return out
 
 
 def _scored_blocks(q, t, kind: str, k: int, beta: float,
@@ -174,45 +205,32 @@ def _scored_blocks(q, t, kind: str, k: int, beta: float,
     """Yield (lo, hi, scores of query rows lo:hi against every target).
 
     The one blocked scorer behind retrieval and dictionary induction.
-    CSLS and ISF first take one pass over the query blocks to assemble
-    their per-target statistics: the k best cosines of each target, or
-    its log-sum-exp over all queries.  k must not exceed either set
-    size under CSLS.  sides names the two sets in input errors.  Each
-    block is a fresh array that the caller may overwrite.
+    CSLS and ISF first take one pass over blocks of target rows to
+    assemble their per-target statistics (_target_stats): the mean of
+    each target's k best cosines, or its log-sum-exp over all queries.
+    k must not exceed either set size under CSLS.  sides names the two
+    sets in input errors.  Each block is a fresh array that the caller
+    may overwrite.
     """
     qn = _unit_rows(q, sides[0])
     tn = _unit_rows(t, sides[1])
-    if kind == KIND_CSLS:
-        # Running per-target top-k cosine buffer across query blocks.
-        buf = np.full((0, tn.shape[0]), -np.inf)
-        for _, _, cos in _cos_blocks(qn, tn):
-            buf = np.concatenate([buf, cos], axis=0)
-            if buf.shape[0] > k:
-                buf = -np.partition(-buf, k - 1, axis=0)[:k]
-        r_q = buf.mean(axis=0)
-    elif kind == KIND_ISF:
-        # Running per-target log-sum-exp across query blocks.
+    if kind == KIND_ISF:
         _check_unit(q, sides[0])
         _check_unit(t, sides[1])
-        col_lse = np.full(tn.shape[0], -np.inf)
-        for _, _, z in _cos_blocks(qn, tn):
-            z *= beta
-            m = np.maximum(col_lse, z.max(axis=0))
-            z -= m
-            np.exp(z, out=z)
-            col_lse = np.log(np.exp(col_lse - m) + z.sum(axis=0)) + m
+    if kind in (KIND_CSLS, KIND_ISF):
+        stats = _target_stats(qn, tn, kind, k, beta)
 
     for lo, hi, s in _cos_blocks(qn, tn):
         # In place on the fresh cosine block, in the order of
         # 2 cos - r_t - r_q and exp(beta cos - lse), so no score moves.
         if kind == KIND_CSLS:
-            r_t = _top_k_row_means(s, k)
+            r_t = _top_k_row_means(s.copy(), k)
             s *= 2.0
             s -= r_t[:, None]
-            s -= r_q[None, :]
+            s -= stats[None, :]
         elif kind == KIND_ISF:
             s *= beta
-            s -= col_lse[None, :]
+            s -= stats[None, :]
             np.exp(s, out=s)
         yield lo, hi, s
 
@@ -222,8 +240,8 @@ def retrieve(queries, targets, cfg: RetrievalConfig | None = None, topk: int = 1
     """Top-scoring target indices per query under the configured scorer.
 
     Only the first cfg.candidate_cap target rows are searched.  Queries
-    are processed in blocks; CSLS and ISF need one extra pass over the
-    blocks to assemble their per-target statistics.
+    are processed in blocks; CSLS and ISF need one extra pass, over
+    blocks of target rows, to assemble their per-target statistics.
 
     With rows, only the first rows queries are returned, and no block
     after theirs is scored.  Statistics still cover every query and the

@@ -12,7 +12,7 @@ import wproc
 import wproc.refine as refine_mod
 import wproc.retrieval as retrieval_mod
 import wproc.sinkhorn as sinkhorn_mod
-from wproc import __version__
+from wproc import __version__, data_io
 from wproc.cli import main
 from wproc.errors import EmptyResultError
 
@@ -223,31 +223,31 @@ def test_manifest_records_argv_and_flags(inst, tmp_path):
 PAIR = ("{src}", "{tgt}")
 
 
-@pytest.mark.parametrize("argv, phases", [
+@pytest.mark.parametrize("argv, phases, maps", [
     pytest.param(("init", *PAIR, "--fw-size", 20, "--fw-iters", 5),
-                 {"load", "solve", "write"}, id="init"),
+                 {"load", "solve", "write"}, ["result"], id="init"),
     pytest.param(("align", *PAIR, "--init", "{map}", "--iters", 4,
                   "--batch-size", 10, "--no-batch-doubling",
                   "--loss-csv", "{dir}/loss.csv"),
-                 {"load", "init", "align", "write"}, id="align"),
+                 {"load", "init", "align", "write"}, ["result"], id="align"),
     pytest.param(("align", *PAIR, "--supervised", "{lex}"),
-                 {"load", "solve"}, id="align-supervised"),
+                 {"load", "solve"}, ["result"], id="align-supervised"),
     pytest.param(("refine", *PAIR, "--map", "{map}", "--epochs", 1),
-                 {"load", "refine", "write"}, id="refine"),
+                 {"load", "refine", "write"}, ["result"], id="refine"),
     pytest.param(("translate", *PAIR, "--map", "{map}"),
-                 {"load", "retrieve", "write"}, id="translate"),
+                 {"load", "retrieve", "write"}, [], id="translate"),
     pytest.param(("eval", *PAIR, "--map", "{map}", "--lexicon", "{lex}"),
-                 {"load", "evaluate"}, id="eval"),
+                 {"load", "evaluate"}, [], id="eval"),
     pytest.param(("synth", "--n", 10, "--d", 3),
-                 {"generate", "write"}, id="synth"),
+                 {"generate", "write"}, ["result.map"], id="synth"),
     pytest.param(("plot", *PAIR, "--map", "{map}"),
-                 {"load", "project", "write"}, id="plot"),
+                 {"load", "project", "write"}, [], id="plot"),
     pytest.param(("bench-batch-size", "--n", 40, "--d", 3, "--seeds", 1,
                   "--sizes", "8,16", "--iters", 2),
-                 {"generate", "align_b8_seed1000", "align_b16_seed1000"},
+                 {"generate", "align_b8_seed1000", "align_b16_seed1000"}, [],
                  id="bench-batch-size"),
 ])
-def test_manifest_records_phases_and_outputs(inst, tmp_path, argv, phases):
+def test_manifest_records_phases_and_outputs(inst, tmp_path, argv, phases, maps):
     run_dir = tmp_path / "run"
     run_dir.mkdir()
     fill = dict(inst, dir=run_dir)
@@ -257,8 +257,14 @@ def test_manifest_records_phases_and_outputs(inst, tmp_path, argv, phases):
     with open(manifest, encoding="utf-8") as fh:
         doc = json.load(fh)
     assert set(doc["timings"]) == phases
-    assert doc["outputs"] == sorted(str(p) for p in run_dir.iterdir()
-                                    if p != manifest)
+    # The outputs are the result files; beside them sit the manifest and
+    # one sidecar for each map the command saved.
+    maps = [str(run_dir / m) for m in maps]
+    assert set(maps) <= set(doc["outputs"])
+    sidecars = [m + data_io._CACHE_SUFFIX for m in maps]
+    assert sorted(str(p) for p in run_dir.iterdir()) == sorted(
+        doc["outputs"] + [str(manifest)] + sidecars)
+    assert doc["outputs"] == sorted(doc["outputs"])
 
 
 def test_refine_empty_dictionary_still_writes_manifest(inst, tmp_path,

@@ -580,12 +580,15 @@ def test_embedding_set_validation():
         EmbeddingSet(labels=("a",), matrix=np.eye(2))
 
 
-def test_map_round_trip_is_exact(tmp_path):
+@pytest.mark.parametrize("sidecar", [True, False])
+def test_map_round_trip_is_exact(tmp_path, sidecar):
     rng = np.random.default_rng(1)
     m, _ = np.linalg.qr(rng.standard_normal((5, 5)))
     q = OrthogonalMap(q=m)
     p = tmp_path / "q.map"
     save_map(str(p), q)
+    if not sidecar:
+        os.unlink(cache_of(p))
     back = load_map(str(p))
     # 17 significant digits reproduce float64 bit for bit.
     assert np.array_equal(back.q, q.q)
@@ -668,10 +671,13 @@ def test_bulk_map_parse_is_bit_identical_to_line_loop(sep, last_newline):
     assert_same_bits(bulk, ref)
 
 
-def test_saved_map_loads_by_the_bulk_path(tmp_path, monkeypatch):
+@pytest.mark.parametrize("sidecar", [True, False])
+def test_saved_map_loads_by_the_bulk_path(tmp_path, monkeypatch, sidecar):
     q = OrthogonalMap(q=np.linalg.qr(np.random.default_rng(5).standard_normal((40, 40)))[0])
     p = str(tmp_path / "q.map")
     save_map(p, q)
+    if not sidecar:
+        os.unlink(cache_of(p))
 
     def refuse(lines, out):
         raise AssertionError("the map fell back to the line loop")
@@ -727,6 +733,9 @@ def test_load_map_takes_what_float_takes(tmp_path, map_loop_calls, body):
 @pytest.mark.parametrize("body, message", [
     ("0\n", "line 1: map dimension must be positive, got 0"),
     ("-1\n1\n", "line 1: map dimension must be positive, got -1"),
+    # The header is one integer, as a .vec header is two.
+    ("2 junk 7\n1 0\n0 1\n", "line 1: map header must be '<d>', got '2 junk 7'"),
+    ("\n1\n", "line 1: map header must be '<d>', got ''"),
     # Rows after the declared ones are refused, as load_vec refuses them.
     ("2\n1 0\n0 1\n0 1\n", "line 4: more rows than the header's 2"),
     ("1\n1\n 2 \n", "line 3: more rows than the header's 1"),
@@ -744,6 +753,134 @@ def test_load_map_takes_a_blank_line_after_the_rows(tmp_path, tail):
     save_map(str(p), q)
     with open(p, "a", encoding="utf-8") as fh:
         fh.write(tail)
+    assert_same_bits(load_map(str(p)).q, q.q)
+
+
+# --------------------------------------------------------------------------
+# The sidecar save_map writes beside each map.
+
+
+_MAP_BULK = data_io._parse_map_bulk
+
+
+@pytest.fixture
+def map_parses(monkeypatch):
+    """Count the maps whose rows are parsed; a sidecar hit parses none."""
+    calls = []
+
+    def spy(lines, out):
+        calls.append(len(lines))
+        return _MAP_BULK(lines, out)
+
+    monkeypatch.setattr(data_io, "_parse_map_bulk", spy)
+    return calls
+
+
+def saved_map(tmp_path, d=6, seed=0):
+    q = OrthogonalMap(q=np.linalg.qr(np.random.default_rng(seed).standard_normal((d, d)))[0])
+    p = tmp_path / "q.map"
+    save_map(str(p), q)
+    return p, q
+
+
+def plant_map_sidecar(p, matrix):
+    """Write p's sidecar with the key of p's current bytes and this matrix."""
+    np.savez(cache_of(p), key=np.frombuffer(data_io._map_digest(p.read_bytes()),
+                                             dtype=np.uint8), matrix=matrix)
+
+
+def test_a_map_sidecar_hit_is_bit_identical_to_the_parse(tmp_path, map_parses):
+    p, q = saved_map(tmp_path, d=40)
+    with np.load(cache_of(p)) as z:
+        assert_same_bits(z["matrix"], q.q)
+    hit = load_map(str(p))
+    assert map_parses == []
+    os.unlink(cache_of(p))
+    parsed = load_map(str(p))
+    assert map_parses == [40]
+    assert_same_bits(hit.q, parsed.q)
+    # load_map writes nothing: the parse left no sidecar behind.
+    assert os.listdir(tmp_path) == ["q.map"]
+
+
+@pytest.mark.parametrize("error", [None, "unparseable numeric value"])
+def test_a_same_size_map_edit_with_the_old_mtime_is_not_served(tmp_path, map_parses,
+                                                              error):
+    p, q = saved_map(tmp_path)
+    st = os.stat(p)
+    raw = bytearray(p.read_bytes())
+    # The 16th significant digit of the last value: orthogonal either way.
+    last = raw.rindex(b" ") + 1
+    i = last + len(raw[last:].rstrip(b"\n").split(b"e")[0]) - 2
+    raw[i] = ord("z") if error else ord("1") if raw[i] != ord("1") else ord("2")
+    p.write_bytes(bytes(raw))
+    os.utime(p, ns=(st.st_atime_ns, st.st_mtime_ns))
+    assert os.stat(p).st_size == st.st_size
+    if error is None:
+        again = load_map(str(p))
+        assert map_parses == [6]
+        assert again.q[-1, -1] != q.q[-1, -1]
+        with open(p, encoding="utf-8") as fh:
+            want = np.array([[float(v) for v in line.split()] for line in fh.readlines()[1:]])
+        assert_same_bits(again.q, want)
+    else:
+        with pytest.raises(ParseError) as err:
+            load_map(str(p))
+        assert str(err.value) == f"line 7: {error}"
+
+
+@pytest.mark.parametrize("damage", [
+    lambda raw: raw[: len(raw) // 2],  # truncated
+    lambda raw: np.random.default_rng(0).bytes(len(raw)),  # garbage
+    lambda raw: b"",
+])
+def test_a_damaged_map_sidecar_is_a_miss(tmp_path, map_parses, damage):
+    p, q = saved_map(tmp_path)
+    with open(cache_of(p), "rb") as fh:
+        raw = fh.read()
+    with open(cache_of(p), "wb") as fh:
+        fh.write(damage(raw))
+    assert_same_bits(load_map(str(p)).q, q.q)
+    assert map_parses == [6]
+
+
+def test_a_map_sidecar_owned_by_another_user_is_a_miss(tmp_path, monkeypatch, map_parses):
+    p, q = saved_map(tmp_path)
+    plant_map_sidecar(p, -q.q)  # orthogonal, and not what the text holds
+    assert_same_bits(load_map(str(p)).q, -q.q)  # our own file is served
+    uid = os.getuid()
+    monkeypatch.setattr(data_io.os, "getuid", lambda: uid + 1)
+    assert_same_bits(load_map(str(p)).q, q.q)
+    assert map_parses == [6]
+
+
+@pytest.mark.parametrize("matrix", [np.eye(7), np.eye(6)[:, :5], np.eye(6, dtype=np.float32)])
+def test_a_map_sidecar_with_the_right_key_and_the_wrong_shape_is_a_miss(
+        tmp_path, map_parses, matrix):
+    p, q = saved_map(tmp_path)
+    plant_map_sidecar(p, matrix)
+    assert_same_bits(load_map(str(p)).q, q.q)
+    assert map_parses == [6]
+
+
+@pytest.mark.parametrize("entry", [1.1, np.nan])
+def test_a_map_sidecar_hit_is_still_checked(tmp_path, map_parses, entry):
+    p, _ = saved_map(tmp_path)
+    m = np.eye(6)
+    m[2, 2] = entry
+    plant_map_sidecar(p, m)
+    with pytest.raises(IntegrityError):
+        load_map(str(p))
+    assert map_parses == []
+
+
+def test_a_failed_map_sidecar_write_leaves_only_the_map(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise PermissionError(13, "Permission denied", dst)
+
+    monkeypatch.setattr(data_io.os, "replace", refuse)
+    p, q = saved_map(tmp_path)
+    assert os.listdir(tmp_path) == ["q.map"]
     assert_same_bits(load_map(str(p)).q, q.q)
 
 

@@ -95,6 +95,19 @@ def test_duplicate_sources_across_blocks_pair_lowest_index(monkeypatch):
     assert sorted(d.pairs) == sorted(naive_mutual_pairs(xs, base, 2))
 
 
+def test_duplicate_sources_within_a_block_pair_lowest_index(monkeypatch):
+    # Sources 1 and 2 are the same point in one block: the target they
+    # share takes the first row that attains its column's maximum.
+    rng = np.random.default_rng(8)
+    base = unit(rng.standard_normal((5, 4)))
+    xs = base[[0, 1, 1, 2, 3, 4]]
+    monkeypatch.setattr(retrieval_mod, "_BLOCK_SIZE", 4)
+    d = mutual_nn_dictionary(xs, base, csls_k=2)
+    assert (1, 1) in d.pairs
+    assert 2 not in d.sources.tolist()
+    assert sorted(d.pairs) == sorted(naive_mutual_pairs(xs, base, 2))
+
+
 def test_refine_fixed_point_on_aligned_sets():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((50, 5))

@@ -127,8 +127,8 @@ def test_rows_returns_the_unlimited_rows_and_scores_only_their_blocks(monkeypatc
     scored = []
     cos_blocks = retrieval_mod._cos_blocks
 
-    def spy(qn, tn):
-        for lo, hi, s in cos_blocks(qn, tn):
+    def spy(*args):
+        for lo, hi, s in cos_blocks(*args):
             scored.append(lo)
             yield lo, hi, s
 
@@ -138,12 +138,39 @@ def test_rows_returns_the_unlimited_rows_and_scores_only_their_blocks(monkeypatc
         head = retrieve(q, t, cfg, topk=4, rows=rows)
         assert np.array_equal(head.indices, full.indices[:rows])
         assert np.array_equal(head.scores.view(np.uint64), full.scores[:rows].view(np.uint64))
-        # CSLS and ISF take one pass over all 6 blocks for their
-        # statistics; scoring stops after the block holding row rows - 1.
-        stats = [] if kind == "nn" else list(range(0, 40, 7))
+        # CSLS and ISF take one pass over all 25 targets for their
+        # statistics, in blocks of 7 * 25 // 40 = 4 target rows against
+        # every query; scoring stops after the block holding row rows - 1.
+        stats = [] if kind == "nn" else list(range(0, 25, 4))
         assert scored == stats + list(range(0, min(rows, 40), 7))
     with pytest.raises(InvalidArgumentError):
         retrieve(q, t, cfg, rows=0)
+
+
+@pytest.mark.parametrize("kind", ["csls", "isf"])
+@pytest.mark.parametrize("nq, nt", [(40, 9), (9, 40), (23, 22)])
+def test_statistics_blocks_cover_each_target_once_within_a_score_block(
+        monkeypatch, kind, nq, nt):
+    monkeypatch.setattr(retrieval_mod, "_BLOCK_SIZE", 5)
+    rng = np.random.default_rng(9)
+    q = unit(rng.standard_normal((nq, 6)))
+    t = unit(rng.standard_normal((nt, 6)))
+    stats = []
+    cos_blocks = retrieval_mod._cos_blocks
+
+    def spy(a, b, *rows):
+        for lo, hi, s in cos_blocks(a, b, *rows):
+            if b.shape[0] == nq:  # target rows against every query
+                stats.append((lo, hi, s.size))
+            yield lo, hi, s
+
+    monkeypatch.setattr(retrieval_mod, "_cos_blocks", spy)
+    cfg = RetrievalConfig(kind=kind, csls_k=3)
+    got = retrieve(q, t, cfg, topk=2)
+    assert stats and all(size <= 5 * nt for _, _, size in stats)
+    assert [i for lo, hi, _ in stats for i in range(lo, hi)] == list(range(nt))
+    want = naive_csls(q, t, 3) if kind == "csls" else naive_isf(q, t, 25.0)
+    assert np.abs(got.scores[:, 0] - want.max(axis=1)).max() < 1e-12
 
 
 def test_retrieve_selects_naive_argmax(monkeypatch):
