@@ -259,17 +259,18 @@ def _vec_key(path, max_rows):
             left = want  # lines still to hash when want < n
             while block := fh.read(_HASH_BLOCK):
                 decode(block)
-                lines = block.count(b"\n")
-                if want < n and lines >= left:
-                    end = -1
-                    for _ in range(left):
-                        end = block.index(b"\n", end + 1)
-                    h.update(block[: end + 1])
-                    ahead = fh.read(_HASH_BLOCK)
-                    decode(ahead, len(ahead) < _HASH_BLOCK)
-                    break
+                if want < n:
+                    lines = block.count(b"\n")
+                    if lines >= left:
+                        end = -1
+                        for _ in range(left):
+                            end = block.index(b"\n", end + 1)
+                        h.update(block[: end + 1])
+                        ahead = fh.read(_HASH_BLOCK)
+                        decode(ahead, len(ahead) < _HASH_BLOCK)
+                        break
+                    left -= lines
                 h.update(block)
-                left -= lines
             else:
                 decode(b"", True)
     except (OSError, EOFError, ValueError, zlib.error, ParseError):

@@ -21,6 +21,9 @@ from .retrieval import RetrievalConfig, retrieve
 
 __all__ = ["EvalReport", "evaluate_bli", "matching_accuracy"]
 
+# Source rows per distance block of the "nn" matching.
+_NN_ROWS = 256
+
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -99,27 +102,51 @@ def evaluate_bli(
     return EvalReport(precision_at=precision, n_queries=len(rows), oov_skipped=oov)
 
 
+def _nearest_rows(xq: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Index of the nearest row of y to each row of xq, lowest on ties.
+
+    Squared distances |xq_i|^2 + |y_j|^2 - 2 xq_i.y_j, taken over
+    blocks of _NN_ROWS rows of xq into two reused _NN_ROWS x n buffers.
+    A block of two or more rows has the bits of the dense n x n
+    expression; numpy multiplies a lone last row as a matrix-vector
+    product, which can round differently in the last bit.
+    """
+    n = xq.shape[0]
+    sq_x = (xq * xq).sum(axis=1)
+    sq_y = (y * y).sum(axis=1)
+    cost = np.empty((min(n, _NN_ROWS), y.shape[0]))
+    gram = np.empty_like(cost)
+    out = np.empty(n, dtype=np.int64)
+    for lo in range(0, n, _NN_ROWS):
+        hi = min(lo + _NN_ROWS, n)
+        c = np.add(sq_x[lo:hi, None], sq_y[None, :], out=cost[: hi - lo])
+        g = np.matmul(xq[lo:hi], y.T, out=gram[: hi - lo])
+        g *= 2.0
+        c -= g
+        out[lo:hi] = np.argmin(c, axis=1)
+    return out
+
+
 def matching_accuracy(
     inst: SyntheticInstance, q: OrthogonalMap, matcher: str = "nn"
 ) -> float:
     """Fraction of source rows matched to their true counterpart.
 
     matcher "nn" matches each mapped source row to its nearest target
-    row; "exact" solves the full assignment problem (quadratic memory,
-    sensible up to a few thousand rows).
+    row, over blocks of source rows (memory linear in n).  "exact" solves
+    the full assignment problem on the dense n x n squared distances
+    (quadratic memory, sensible up to a few thousand rows).
     """
     if matcher not in ("nn", "exact"):
         raise InvalidArgumentError(f"matcher must be nn or exact, got {matcher!r}")
-    x = inst.x.matrix
+    xq = inst.x.matrix @ q.q
     y = inst.y.matrix
-    xq = x @ q.q
-    sq_x = (xq * xq).sum(axis=1)
-    sq_y = (y * y).sum(axis=1)
-    cost = sq_x[:, None] + sq_y[None, :] - 2.0 * (xq @ y.T)
     if matcher == "exact":
-        perm, _ = solve_lap(cost)
+        sq_x = (xq * xq).sum(axis=1)
+        sq_y = (y * y).sum(axis=1)
+        perm, _ = solve_lap(sq_x[:, None] + sq_y[None, :] - 2.0 * (xq @ y.T))
         predicted = perm.mapping
     else:
-        predicted = np.argmin(cost, axis=1)
+        predicted = _nearest_rows(xq, y)
     truth = inst.true_permutation.inverse().mapping
     return float(np.mean(predicted == truth))

@@ -1,8 +1,9 @@
 """Dense matrix kernel: SVD, orthogonal projection, and PCA.
 
 Everything operates on float64 numpy arrays.  The SVD is delegated to LAPACK
-but wrapped with a deterministic column-sign convention so that downstream
-results are reproducible bit for bit.
+but wrapped with a deterministic column-sign convention so that PCA scores
+are reproducible bit for bit.  Polar factors need no convention: they do
+not depend on the signs.
 """
 
 from __future__ import annotations
@@ -31,6 +32,15 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(m).all():
         raise InvalidInputError(f"{name} contains non-finite entries")
     return m
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean length of each row of a real matrix.
+
+    The bits of ``np.linalg.norm(x, axis=1)``, which on real input sums
+    ``x.conj() * x``, without the conjugate copy.
+    """
+    return np.sqrt(np.add.reduce(x * x, axis=1))
 
 
 @dataclass(frozen=True)
@@ -86,6 +96,19 @@ def svd(m) -> SvdResult:
     return SvdResult(u=u, s=s, v=v)
 
 
+def _polar(m: np.ndarray):
+    """The polar factor ``u @ v.T`` of a square m, and its singular values.
+
+    No sign convention is needed: flipping a column pair (u_j, v_j)
+    negates both factors of each of its products, which is exact.  The
+    right operand is passed in Fortran order, the layout of ``svd``'s
+    ``v.T``, because BLAS can round ``u @ vh`` differently when vh is
+    C-ordered (at d=20 and d=50, not at d=300).
+    """
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    return u @ np.asfortranarray(vh), s
+
+
 def project_orthogonal(m) -> OrthogonalMap:
     """Nearest orthogonal matrix in Frobenius norm (polar factor ``u @ v.T``).
 
@@ -98,13 +121,13 @@ def project_orthogonal(m) -> OrthogonalMap:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise InvalidInputError(f"projection needs a square matrix, got {m.shape}")
-    r = svd(m)
-    if r.s[-1] <= 1e-12:
+    q, s = _polar(m)
+    if s[-1] <= 1e-12:
         raise DegenerateProjectionError(
-            f"rank-deficient input (smallest singular value {r.s[-1]:.3e}); "
+            f"rank-deficient input (smallest singular value {s[-1]:.3e}); "
             "nearest orthogonal matrix is ambiguous"
         )
-    return OrthogonalMap(q=r.u @ r.v.T)
+    return OrthogonalMap(q=q)
 
 
 def pca_project(x, k: int) -> np.ndarray:

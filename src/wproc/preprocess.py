@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, InvalidInputError
-from .linalg import as_matrix
+from .linalg import _row_norms, as_matrix
 
 __all__ = ["STEP_UNIT_NORM", "STEP_CENTER", "PreprocessSpec", "preprocess"]
 
@@ -66,14 +66,15 @@ class PreprocessSpec:
         return cls((STEP_UNIT_NORM, STEP_CENTER, STEP_UNIT_NORM))
 
 
-def _unit_norm(x: np.ndarray, labels) -> np.ndarray:
-    norms = np.linalg.norm(x, axis=1)
+def _unit_norm(x: np.ndarray, labels):
+    """Divide each row of x by its length, in place."""
+    norms = _row_norms(x)
     bad = np.flatnonzero(norms == 0.0)
     if bad.size:
         i = int(bad[0])
         name = labels[i] if labels is not None else f"row {i}"
         raise InvalidInputError(f"cannot unit-normalize zero vector at {name}")
-    return x / norms[:, None]
+    x /= norms[:, None]
 
 
 def preprocess(x, spec: PreprocessSpec | None = None, labels=None) -> np.ndarray:
@@ -92,7 +93,7 @@ def preprocess(x, spec: PreprocessSpec | None = None, labels=None) -> np.ndarray
     out = as_matrix(x, "embeddings").copy()
     for step in spec.steps:
         if step == STEP_UNIT_NORM:
-            out = _unit_norm(out, labels)
+            _unit_norm(out, labels)
         else:
-            out = out - out.mean(axis=0)
+            out -= out.mean(axis=0)
     return out

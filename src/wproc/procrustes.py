@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 
 from .errors import DegenerateFitError, InvalidArgumentError
-from .linalg import OrthogonalMap, as_matrix, svd
+from .linalg import OrthogonalMap, _polar, as_matrix
 
 __all__ = ["fit_orthogonal"]
 
@@ -51,12 +51,11 @@ def fit_orthogonal(x, y) -> OrthogonalMap:
             "the problem is underdetermined",
             stacklevel=2,
         )
-    cross = x.T @ y
-    r = svd(cross)
-    rank = int(np.count_nonzero(r.s > _RANK_RTOL * r.s[0])) if r.s[0] > 0 else 0
+    q, s = _polar(x.T @ y)
+    rank = int(np.count_nonzero(s > _RANK_RTOL * s[0])) if s[0] > 0 else 0
     if rank < d:
         raise DegenerateFitError(
             f"cross-covariance x'y has rank {rank} of {d}; the optimal "
             "orthogonal map is not unique"
         )
-    return OrthogonalMap(q=r.u @ r.v.T)
+    return OrthogonalMap(q=q)

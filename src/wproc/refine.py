@@ -94,8 +94,8 @@ def mutual_nn_dictionary(
     k = min(csls_k, ns, nt)
 
     # Row argmax directly, column argmax as a running best: a column's
-    # index is the first row of the block that attains its maximum.
-    # Blocks ascend and argmax takes the first maximum, so ties resolve
+    # index is the first row of the chunk that attains its maximum.
+    # Chunks ascend and argmax takes the first maximum, so ties resolve
     # to the lowest index in both directions.
     fwd = np.empty(ns, dtype=np.int64)
     col_best = np.full(nt, -np.inf)

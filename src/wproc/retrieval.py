@@ -7,11 +7,14 @@ endpoints to their cross-set nearest neighbors, demoting points that are
 close to everything.  Inverted softmax normalizes a target's affinity
 over the whole query set, so a hub's mass is spread thin.
 
-Score matrices are computed in blocks of _BLOCK_SIZE query rows.  The
-per-target statistics of CSLS and inverted softmax come from blocks of
-target rows against every query, sized to hold no more cosines than a
-score block, so peak memory stays bounded at _BLOCK_SIZE x
-candidate_cap whichever set is larger.  This blocked engine is the only
+Score matrices are computed in blocks of _BLOCK_SIZE query rows, and
+each block is finished and handed on in chunks of _CHUNK rows while the
+chunk is in cache.  The per-target statistics of CSLS and inverted
+softmax come from blocks of target rows against every query, sized to
+hold no more cosines than a score block.  Working memory beyond the
+unit-normalized inputs is thus one _BLOCK_SIZE x n_targets block plus
+one _CHUNK x n_targets scratch and a consumer's chunk-sized
+temporaries, whichever set is larger.  This blocked engine is the only
 scorer; the dense reference formulas live with the tests.
 """
 
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError, InvalidInputError
-from .linalg import as_matrix
+from .linalg import _row_norms, as_matrix
 
 __all__ = ["RetrievalConfig", "NeighborTable", "retrieve"]
 
@@ -32,8 +35,10 @@ KIND_ISF = "isf"
 
 _UNIT_NORM_ATOL = 1e-6
 
-# Query rows per score block.
-_BLOCK_SIZE = 1024
+# Query rows per score GEMM, and rows per chunk in which a block is
+# scored and handed on: 64 rows of 2000 cosines fill 1 MB.
+_BLOCK_SIZE = 512
+_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -96,7 +101,7 @@ class NeighborTable:
 
 
 def _unit_rows(x: np.ndarray, side: str) -> np.ndarray:
-    norms = np.linalg.norm(x, axis=1)
+    norms = _row_norms(x)
     bad = np.flatnonzero(norms == 0.0)
     if bad.size:
         raise InvalidInputError(f"zero-norm vector at {side} row {int(bad[0])}")
@@ -126,7 +131,7 @@ def _top_k_row_means(scores: np.ndarray, k: int) -> np.ndarray:
 
 
 def _check_unit(x: np.ndarray, side: str):
-    norms = np.linalg.norm(x, axis=1)
+    norms = _row_norms(x)
     off = np.abs(norms - 1.0)
     if off.max() > _UNIT_NORM_ATOL:
         i = int(np.argmax(off))
@@ -170,11 +175,14 @@ def _cos_blocks(a: np.ndarray, b: np.ndarray, rows: int | None = None):
     """Yield (lo, hi, cosines of rows lo:hi of a against every row of b).
 
     Each block holds rows rows of a; _BLOCK_SIZE when rows is None.
+    Every block is written into one buffer, so a block is only valid
+    until the next is asked for, and the caller may overwrite it.
     """
     rows = rows or _BLOCK_SIZE
+    buf = np.empty((min(rows, a.shape[0]), b.shape[0]))
     for lo in range(0, a.shape[0], rows):
         hi = min(lo + rows, a.shape[0])
-        yield lo, hi, a[lo:hi] @ b.T
+        yield lo, hi, np.matmul(a[lo:hi], b.T, out=buf[: hi - lo])
 
 
 def _target_stats(qn, tn, kind: str, k: int, beta: float) -> np.ndarray:
@@ -209,8 +217,14 @@ def _scored_blocks(q, t, kind: str, k: int, beta: float,
     assemble their per-target statistics (_target_stats): the mean of
     each target's k best cosines, or its log-sum-exp over all queries.
     k must not exceed either set size under CSLS.  sides names the two
-    sets in input errors.  Each block is a fresh array that the caller
-    may overwrite.
+    sets in input errors.
+
+    Each cosine block of _BLOCK_SIZE rows is scored and yielded in
+    chunks of at most _CHUNK rows, in ascending order.  A chunk is a
+    view of the block buffer: the caller may overwrite it, and it is
+    only valid until the next chunk is asked for.  CSLS takes each
+    chunk's r_t from a copy in one reused _CHUNK-row scratch, so the
+    block itself is never copied.
     """
     qn = _unit_rows(q, sides[0])
     tn = _unit_rows(t, sides[1])
@@ -219,20 +233,27 @@ def _scored_blocks(q, t, kind: str, k: int, beta: float,
         _check_unit(t, sides[1])
     if kind in (KIND_CSLS, KIND_ISF):
         stats = _target_stats(qn, tn, kind, k, beta)
+    if kind == KIND_CSLS:
+        scratch = np.empty((min(_CHUNK, qn.shape[0]), tn.shape[0]))
 
-    for lo, hi, s in _cos_blocks(qn, tn):
-        # In place on the fresh cosine block, in the order of
-        # 2 cos - r_t - r_q and exp(beta cos - lse), so no score moves.
-        if kind == KIND_CSLS:
-            r_t = _top_k_row_means(s.copy(), k)
-            s *= 2.0
-            s -= r_t[:, None]
-            s -= stats[None, :]
-        elif kind == KIND_ISF:
-            s *= beta
-            s -= stats[None, :]
-            np.exp(s, out=s)
-        yield lo, hi, s
+    for lo, hi, block in _cos_blocks(qn, tn):
+        for c in range(lo, hi, _CHUNK):
+            e = min(c + _CHUNK, hi)
+            s = block[c - lo : e - lo]
+            # In place on the fresh cosines, in the order of
+            # 2 cos - r_t - r_q and exp(beta cos - lse), so no score moves.
+            if kind == KIND_CSLS:
+                buf = scratch[: s.shape[0]]
+                np.copyto(buf, s)
+                r_t = _top_k_row_means(buf, k)
+                s *= 2.0
+                s -= r_t[:, None]
+                s -= stats[None, :]
+            elif kind == KIND_ISF:
+                s *= beta
+                s -= stats[None, :]
+                np.exp(s, out=s)
+            yield c, e, s
 
 
 def retrieve(queries, targets, cfg: RetrievalConfig | None = None, topk: int = 1,
@@ -240,13 +261,14 @@ def retrieve(queries, targets, cfg: RetrievalConfig | None = None, topk: int = 1
     """Top-scoring target indices per query under the configured scorer.
 
     Only the first cfg.candidate_cap target rows are searched.  Queries
-    are processed in blocks; CSLS and ISF need one extra pass, over
-    blocks of target rows, to assemble their per-target statistics.
+    are processed in blocks, and the top targets are selected chunk by
+    chunk; CSLS and ISF need one extra pass, over blocks of target rows,
+    to assemble their per-target statistics.
 
     With rows, only the first rows queries are returned, and no block
-    after theirs is scored.  Statistics still cover every query and the
-    blocks are those of the unlimited call, so each returned row is
-    bit-identical to its row there.
+    or chunk after theirs is scored.  Statistics still cover every query
+    and the blocks are those of the unlimited call, so each returned row
+    is bit-identical to its row there.
     """
     if cfg is None:
         cfg = RetrievalConfig()

@@ -2,8 +2,10 @@
 
 The library has one scorer, the blocked engine behind `retrieve`; the
 dense scorers here are its oracles, and `retrieved_scores` reads its
-full score matrices back.  The Frank-Wolfe objective and gradient are
-the oracles of `fw_solve`, which tracks them incrementally.
+full score matrices back.  `nearest_rows` is the dense oracle of the
+blocked nearest-neighbour matching behind `matching_accuracy`.  The
+Frank-Wolfe objective and gradient are the oracles of `fw_solve`, which
+tracks them incrementally.
 """
 
 import numpy as np
@@ -38,6 +40,14 @@ def csls_scores(q, t, k):
     r_t = top_k_row_means(cos, k)
     r_q = top_k_row_means(cos.T, k)
     return 2.0 * cos - r_t[:, None] - r_q[None, :]
+
+
+def nearest_rows(xq, y):
+    """Nearest row of y to each row of xq by the dense squared distances."""
+    sq_x = (xq * xq).sum(axis=1)
+    sq_y = (y * y).sum(axis=1)
+    cost = sq_x[:, None] + sq_y[None, :] - 2.0 * (xq @ y.T)
+    return np.argmin(cost, axis=1)
 
 
 def retrieved_scores(q, t, cfg):

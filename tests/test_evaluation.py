@@ -1,8 +1,12 @@
 """Lexicon-induction scoring and matching accuracy."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import wproc.evaluation as evaluation_mod
+from oracles import nearest_rows
 from wproc.data_io import EmbeddingSet, Lexicon, synth_generate
 from wproc.errors import EmptyResultError, InvalidArgumentError
 from wproc.evaluation import EvalReport, evaluate_bli, matching_accuracy
@@ -140,3 +144,40 @@ def test_matching_accuracy_counts_fraction():
     rot = inst.true_rotation.q @ np.array([[-1.0, 0.0], [0.0, -1.0]])
     acc = matching_accuracy(inst, OrthogonalMap(q=rot), "nn")
     assert 0.0 <= acc < 0.3
+
+
+@pytest.mark.parametrize("n", [50, 49, 7, 8, 1])
+def test_nearest_rows_match_the_dense_oracle(monkeypatch, n):
+    # 7-row blocks: 50 rows end in a lone row, 49 and 7 in full blocks.
+    monkeypatch.setattr(evaluation_mod, "_NN_ROWS", 7)
+    rng = np.random.default_rng(14)
+    for xq, y in ((rng.standard_normal((n, 5)), rng.standard_normal((33, 5))),
+                  # small integers: equal distances, lowest index wins
+                  (rng.integers(-1, 2, (n, 3)).astype(float),
+                   rng.integers(-1, 2, (33, 3)).astype(float))):
+        assert np.array_equal(evaluation_mod._nearest_rows(xq, y), nearest_rows(xq, y))
+
+
+def test_matching_accuracy_nn_is_the_dense_nearest_row_share(monkeypatch):
+    monkeypatch.setattr(evaluation_mod, "_NN_ROWS", 7)
+    inst = synth_generate(50, 4, 0.5, seed=15)
+    truth = inst.true_permutation.inverse().mapping
+    for q in (inst.true_rotation, OrthogonalMap(q=np.eye(4))):
+        want = np.mean(nearest_rows(inst.x.matrix @ q.q, inst.y.matrix) == truth)
+        assert matching_accuracy(inst, q, "nn") == want
+
+
+def test_matching_accuracy_nn_memory_is_linear_in_n():
+    n = 3000
+    inst = synth_generate(n, 16, 0.01, seed=13)
+    tracemalloc.start()
+    try:
+        acc = matching_accuracy(inst, inst.true_rotation, "nn")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert acc == 1.0
+    # Two blocks of distances, the mapped sources and a few n-vectors;
+    # one dense n x n matrix alone is 72 MB.
+    blocks = 2 * evaluation_mod._NN_ROWS * n * 8
+    assert peak <= blocks + 2 * inst.x.matrix.nbytes + 64 * n

@@ -82,6 +82,15 @@ def test_project_orthogonal_matches_polar_oracle():
         assert np.allclose(got, want, atol=1e-10)
 
 
+@pytest.mark.parametrize("d", [2, 7, 20, 50, 300])
+def test_project_orthogonal_keeps_the_bits_of_the_signed_svd(d):
+    # The sign convention cancels in u @ v.T; at d=20 and d=50 the bits
+    # also depend on passing v.T in its Fortran-order layout.
+    m = np.random.default_rng(d).standard_normal((d, d))
+    r = svd(m)
+    assert project_orthogonal(m).q.tobytes() == (r.u @ r.v.T).tobytes()
+
+
 def test_project_orthogonal_is_nearest():
     rng = np.random.default_rng(5)
     m = rng.standard_normal((5, 5)) + 2.0 * np.eye(5)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wproc.errors import DegenerateFitError, InvalidArgumentError
+from wproc.linalg import svd
 from wproc.procrustes import fit_orthogonal
 
 
@@ -23,6 +24,15 @@ def test_exact_recovery():
         r = random_orthogonal(rng, 6)
         q = fit_orthogonal(x, x @ r)
         assert np.linalg.norm(q.q - r) < 1e-10
+
+
+@pytest.mark.parametrize("d", [3, 20, 50, 300])
+def test_fit_keeps_the_bits_of_the_signed_svd(d):
+    rng = np.random.default_rng(d)
+    x = rng.standard_normal((d + 40, d))
+    y = rng.standard_normal((d + 40, d))
+    r = svd(x.T @ y)
+    assert fit_orthogonal(x, y).q.tobytes() == (r.u @ r.v.T).tobytes()
 
 
 def test_recovers_reflections():

@@ -108,6 +108,34 @@ def test_duplicate_sources_within_a_block_pair_lowest_index(monkeypatch):
     assert sorted(d.pairs) == sorted(naive_mutual_pairs(xs, base, 2))
 
 
+def test_duplicate_sources_across_chunks_pair_lowest_index(monkeypatch):
+    # Sources 2 and 3 are the same point in one block, on either side of
+    # a chunk bound: the target they share pairs with source 2.
+    rng = np.random.default_rng(8)
+    base = unit(rng.standard_normal((5, 4)))
+    xs = base[[0, 1, 2, 2, 3, 4]]
+    monkeypatch.setattr(retrieval_mod, "_BLOCK_SIZE", 4)
+    monkeypatch.setattr(retrieval_mod, "_CHUNK", 3)
+    d = mutual_nn_dictionary(xs, base, csls_k=2)
+    assert (2, 2) in d.pairs
+    assert 3 not in d.sources.tolist()
+    assert sorted(d.pairs) == sorted(naive_mutual_pairs(xs, base, 2))
+
+
+def test_mutual_dictionary_chunks_keep_the_pairs_of_whole_blocks(monkeypatch):
+    # Small-integer rows repeat, so column maxima tie across chunk bounds.
+    monkeypatch.setattr(retrieval_mod, "_BLOCK_SIZE", 7)
+    rng = np.random.default_rng(11)
+    xs, ys = (unit(rng.integers(-1, 2, size=(n, 3)).astype(float) + [0.0, 0.0, 0.5])
+              for n in (40, 25))
+    pairs = []
+    for chunk in (7, 3, 2, 1):
+        monkeypatch.setattr(retrieval_mod, "_CHUNK", chunk)
+        pairs.append(mutual_nn_dictionary(xs, ys, csls_k=3).pairs)
+    assert len(pairs[0]) > 0 and len(set(map(tuple, xs))) < len(xs)
+    assert all(p == pairs[0] for p in pairs)
+
+
 def test_refine_fixed_point_on_aligned_sets():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((50, 5))

@@ -1,5 +1,7 @@
 """The blocked retrieval engine against naive full-matrix oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -32,7 +34,7 @@ def naive_isf(q, t, beta):
 
 
 # The default block size, and one that splits 20 queries into 3 blocks.
-BLOCK_SIZES = (1024, 7)
+BLOCK_SIZES = (512, 7)
 
 
 def test_cosine_matches_naive(monkeypatch):
@@ -171,6 +173,56 @@ def test_statistics_blocks_cover_each_target_once_within_a_score_block(
     assert [i for lo, hi, _ in stats for i in range(lo, hi)] == list(range(nt))
     want = naive_csls(q, t, 3) if kind == "csls" else naive_isf(q, t, 25.0)
     assert np.abs(got.scores[:, 0] - want.max(axis=1)).max() < 1e-12
+
+
+def tied_unit_rows(rng, n, d):
+    """Unit rows of small integers: many rows repeat and many cosines
+    tie, within a row and between rows on both sides of chunk bounds."""
+    x = rng.integers(-1, 2, size=(n, d)).astype(float)
+    x[~x.any(axis=1), 0] = 1.0
+    return unit(x)
+
+
+@pytest.mark.parametrize("kind", ["nn", "csls", "isf"])
+def test_chunks_keep_the_bits_of_whole_blocks(monkeypatch, kind):
+    # A chunk as tall as the block is the scorer without chunks: r_t
+    # from a copy of the whole block, top-k over the whole block.
+    monkeypatch.setattr(retrieval_mod, "_BLOCK_SIZE", 7)
+    rng = np.random.default_rng(10)
+    q = tied_unit_rows(rng, 40, 4)
+    t = tied_unit_rows(rng, 25, 4)
+    cfg = RetrievalConfig(kind=kind, csls_k=3)
+
+    def tables(chunk):
+        monkeypatch.setattr(retrieval_mod, "_CHUNK", chunk)
+        return [retrieve(q, t, cfg, topk=topk, rows=rows)
+                for topk in (1, 4) for rows in (None, 11)]
+
+    whole = tables(7)
+    assert np.any(np.diff(whole[2].scores, axis=1) == 0)  # ties in the top 4
+    for chunk in (3, 2, 1, 64):
+        for got, want in zip(tables(chunk), whole):
+            assert np.array_equal(got.indices, want.indices)
+            assert got.scores.tobytes() == want.scores.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["nn", "csls", "isf"])
+def test_retrieve_holds_one_score_block_and_a_few_chunks(kind):
+    rng = np.random.default_rng(12)
+    q = unit(rng.standard_normal((1500, 16)))
+    t = unit(rng.standard_normal((4000, 16)))
+    tracemalloc.start()
+    try:
+        retrieve(q, t, RetrievalConfig(kind=kind), topk=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # One score block, the r_t scratch and a consumer's chunk-sized
+    # temporaries, plus the unit-normalized inputs and the output table;
+    # a block-sized copy or index array would exceed it.
+    row = 8 * t.shape[0]
+    block = retrieval_mod._BLOCK_SIZE * row
+    assert peak <= block + 4 * retrieval_mod._CHUNK * row + 2 * (q.nbytes + t.nbytes)
 
 
 def test_retrieve_selects_naive_argmax(monkeypatch):
