@@ -42,12 +42,6 @@ class Permutation:
         inv[self.mapping] = np.arange(self.size)
         return Permutation(inv)
 
-    def as_matrix(self) -> np.ndarray:
-        """Dense 0/1 matrix P with P[i, mapping[i]] = 1."""
-        p = np.zeros((self.size, self.size))
-        p[np.arange(self.size), self.mapping] = 1.0
-        return p
-
 
 def _check_square_cost(cost, name: str) -> np.ndarray:
     cost = as_matrix(cost, name)

@@ -10,7 +10,8 @@ depends on.  ``load_vec`` keeps what it parsed in a file beside its
 input, ``<path>.wproc-cache.npz``, keyed by a sha256 of the bytes it
 read, so a later load of the same bytes skips the text parse.
 ``save_map`` stores the matrix it wrote the same way, so ``load_map``
-skips the parse of any map file it finds unchanged.
+skips the parse of any map file it finds unchanged; any other map is
+read by the strict line loop.
 """
 
 from __future__ import annotations
@@ -490,13 +491,12 @@ def load_map(path) -> OrthogonalMap:
 
     The file's bytes are read once.  When ``<path>.wproc-cache.npz``
     holds a matrix under their _map_digest, as save_map leaves it, that
-    matrix is used.  Otherwise the d rows are parsed by one np.loadtxt
-    (_parse_map_bulk); rows it refuses are parsed again by
-    _parse_map_lines, the strict line loop that defines a valid map file
-    and raises its errors.  The header must be one positive integer and,
-    as in load_vec, the line after the declared rows must be blank or
-    absent.  The finite and orthogonality checks run on every load, and
-    load_map writes no file.
+    matrix is used.  Otherwise the rows are parsed by _parse_map_lines,
+    the strict line loop that defines a valid map file and raises its
+    errors.  The header must be one positive integer and, as in
+    load_vec, the line after the declared rows must be blank or absent.
+    The finite and orthogonality checks run on every load, and load_map
+    writes no file.
     """
     with _open_binary(path) as fh:
         raw = fh.read()
@@ -505,12 +505,8 @@ def load_map(path) -> OrthogonalMap:
         m = _read_cache(os.fsdecode(path) + _CACHE_SUFFIX, _map_digest(raw),
                         lambda z: _stored_matrix(z, (d, d)))
         if m is None:
-            m = np.empty((d, d))
-            lines = list(itertools.islice(fh, d))
-            extra = fh.readline()
-            if not _parse_map_bulk(lines, m):
-                _parse_map_lines(lines, m)
-            if extra.strip():
+            m = _parse_map_lines(list(itertools.islice(fh, d)), d)
+            if fh.readline().strip():
                 raise ParseError(f"more rows than the header's {d}", line=d + 2)
     bad = np.flatnonzero(~np.isfinite(m).all(axis=1))
     if bad.size:
@@ -537,47 +533,26 @@ def _map_dim(header):
     return d
 
 
-def _parse_map_bulk(lines, out) -> bool:
-    """Parse map rows into out with one np.loadtxt; False when it cannot.
-
-    Accepts only what _parse_map_lines accepts, with the same values:
-    loadtxt splits on the whitespace str.split splits on and parses
-    tokens as float() does, but refuses some that float() takes
-    (``1_0``, non-ASCII digits); it skips blank lines, which the row
-    count catches.  out is left untouched on False.
-    """
-    # loadtxt warns on input with no data; a blank first row is an error
-    # of the line loop.
-    if not lines or not lines[0].strip():
-        return False
-    try:
-        values = np.loadtxt(lines, comments=None, quotechar=None, ndmin=2)
-    except ValueError:
-        return False
-    if values.shape != out.shape:
-        return False
-    out[...] = values
-    return True
-
-
-def _parse_map_lines(lines, out):
+def _parse_map_lines(lines, d):
     """The strict definition of valid map rows, one line at a time.
 
-    lines are rows 1, 2, ... of the map (lines 2, 3, ... of the file);
-    out has one row per row the header declared.  Raises ParseError
-    with the 1-based file line number.
+    lines are rows 1, 2, ... of a map whose header declared d rows
+    (lines 2, 3, ... of the file).  Returns the d x d matrix, built once
+    every row has parsed, so a header larger than the file allocates
+    nothing.  Raises ParseError with the 1-based file line number.
     """
-    d = out.shape[0]
-    for i in range(d):
-        if i == len(lines):
-            raise ParseError(f"map ends after {i} of {d} rows", line=i + 2)
-        vals = lines[i].split()
+    rows = []
+    for i, line in enumerate(lines):
+        vals = line.split()
         if len(vals) != d:
             raise ParseError(f"expected {d} values, got {len(vals)}", line=i + 2)
         try:
-            out[i] = [float(v) for v in vals]
+            rows.append([float(v) for v in vals])
         except ValueError:
             raise ParseError("unparseable numeric value", line=i + 2) from None
+    if len(rows) < d:
+        raise ParseError(f"map ends after {len(rows)} of {d} rows", line=len(rows) + 2)
+    return np.array(rows)
 
 
 def load_lexicon(path) -> Lexicon:

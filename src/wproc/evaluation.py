@@ -17,7 +17,7 @@ from .assignment import solve_lap
 from .data_io import EmbeddingSet, Lexicon, SyntheticInstance
 from .errors import EmptyResultError, InvalidArgumentError
 from .linalg import OrthogonalMap
-from .retrieval import RetrievalConfig, retrieve
+from .retrieval import RetrievalConfig, _row_blocks, retrieve
 
 __all__ = ["EvalReport", "evaluate_bli", "matching_accuracy"]
 
@@ -105,20 +105,19 @@ def evaluate_bli(
 def _nearest_rows(xq: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Index of the nearest row of y to each row of xq, lowest on ties.
 
-    Squared distances |xq_i|^2 + |y_j|^2 - 2 xq_i.y_j, taken over
-    blocks of _NN_ROWS rows of xq into two reused _NN_ROWS x n buffers.
-    A block of two or more rows has the bits of the dense n x n
-    expression; numpy multiplies a lone last row as a matrix-vector
-    product, which can round differently in the last bit.
+    Squared distances |xq_i|^2 + |y_j|^2 - 2 xq_i.y_j, taken over the
+    _row_blocks of _NN_ROWS rows of xq into two reused buffers.  No
+    block holds one row of two or more, so each row has the bits of the
+    dense n x n expression.
     """
     n = xq.shape[0]
     sq_x = (xq * xq).sum(axis=1)
     sq_y = (y * y).sum(axis=1)
-    cost = np.empty((min(n, _NN_ROWS), y.shape[0]))
+    blocks = _row_blocks(n, _NN_ROWS)
+    cost = np.empty((max(hi - lo for lo, hi in blocks), y.shape[0]))
     gram = np.empty_like(cost)
     out = np.empty(n, dtype=np.int64)
-    for lo in range(0, n, _NN_ROWS):
-        hi = min(lo + _NN_ROWS, n)
+    for lo, hi in blocks:
         c = np.add(sq_x[lo:hi, None], sq_y[None, :], out=cost[: hi - lo])
         g = np.matmul(xq[lo:hi], y.T, out=gram[: hi - lo])
         g *= 2.0

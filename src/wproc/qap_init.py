@@ -164,6 +164,7 @@ def fw_solve(g: GramPair, cfg: FwConfig | None = None):
     f0 = float((r * r).sum())
     gap_tol = cfg.gap_tol if cfg.gap_tol is not None else 1e-6 * f0
     trace = [f0]
+    rows = np.arange(m)
     iters = 0
     converged = False
     for _ in range(cfg.max_iters):
@@ -177,7 +178,6 @@ def fw_solve(g: GramPair, cfg: FwConfig | None = None):
         # reads the raw gradient.
         vertex = max_trace_matching(-_reduced_cost(grad))
         # <grad, S> for a permutation vertex is a gather, not a product.
-        rows = np.arange(m)
         grad_s = float(grad[rows, vertex.mapping].sum())
         gap = float((grad * p).sum()) - grad_s
         if gap <= gap_tol:
@@ -188,16 +188,11 @@ def fw_solve(g: GramPair, cfg: FwConfig | None = None):
         inv = vertex.inverse().mapping
         t = (g.kx[:, inv] - g.ky[vertex.mapping, :]) - r
         tt = float((t * t).sum())
-        if tt <= 0.0:
-            # flat segment: any step keeps f constant, take the vertex
-            p = vertex.as_matrix()
-            r = g.kx[:, inv] - g.ky[vertex.mapping, :]
-            iters += 1
-            trace.append(float((r * r).sum()))
-            continue
-        gamma = min(1.0, max(0.0, gap / (2.0 * tt)))
-        d = vertex.as_matrix()
-        d -= p
+        # The gap is positive here.  On a flat segment (||T||^2 = 0) every
+        # step keeps f, so the step goes to the vertex.
+        gamma = min(1.0, gap / (2.0 * tt)) if tt > 0.0 else 1.0
+        d = np.negative(p)
+        d[rows, vertex.mapping] += 1.0
         p += gamma * d
         r += gamma * t
         iters += 1

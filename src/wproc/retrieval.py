@@ -11,11 +11,13 @@ Score matrices are computed in blocks of _BLOCK_SIZE query rows, and
 each block is finished and handed on in chunks of _CHUNK rows while the
 chunk is in cache.  The per-target statistics of CSLS and inverted
 softmax come from blocks of target rows against every query, sized to
-hold no more cosines than a score block.  Working memory beyond the
-unit-normalized inputs is thus one _BLOCK_SIZE x n_targets block plus
-one _CHUNK x n_targets scratch and a consumer's chunk-sized
-temporaries, whichever set is larger.  This blocked engine is the only
-scorer; the dense reference formulas live with the tests.
+hold about as many cosines as a score block.  No block of a set of two
+or more rows holds one row (_row_blocks), so a row's bits do not depend
+on the set's size.  Working memory beyond the unit-normalized inputs is
+thus one block of _BLOCK_SIZE (or one more) rows x n_targets plus one
+_CHUNK x n_targets scratch and a consumer's chunk-sized temporaries,
+whichever set is larger.  This blocked engine is the only scorer; the
+dense reference formulas live with the tests.
 """
 
 from __future__ import annotations
@@ -95,10 +97,6 @@ class NeighborTable:
     def n_queries(self) -> int:
         return self.indices.shape[0]
 
-    @property
-    def depth(self) -> int:
-        return self.indices.shape[1]
-
 
 def _unit_rows(x: np.ndarray, side: str) -> np.ndarray:
     norms = _row_norms(x)
@@ -171,32 +169,45 @@ def _select_top(scores: np.ndarray, topk: int):
     return idx, -vals
 
 
+def _row_blocks(n: int, rows: int):
+    """(lo, hi) bounds of ascending blocks of rows rows covering range(n).
+
+    No block of two or more rows has one row: rows is raised to 2, and a
+    lone last row joins the block before it.  numpy multiplies a
+    one-row block as a matrix-vector product, which can round a row
+    differently in the last bit than a block of two or more rows does.
+    """
+    rows = max(rows, 2)
+    starts = list(range(0, n, rows))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
+
+
 def _cos_blocks(a: np.ndarray, b: np.ndarray, rows: int | None = None):
     """Yield (lo, hi, cosines of rows lo:hi of a against every row of b).
 
-    Each block holds rows rows of a; _BLOCK_SIZE when rows is None.
-    Every block is written into one buffer, so a block is only valid
-    until the next is asked for, and the caller may overwrite it.
+    The blocks are _row_blocks of rows rows of a, _BLOCK_SIZE when rows
+    is None.  Every block is written into one buffer, so a block is only
+    valid until the next is asked for, and the caller may overwrite it.
     """
-    rows = rows or _BLOCK_SIZE
-    buf = np.empty((min(rows, a.shape[0]), b.shape[0]))
-    for lo in range(0, a.shape[0], rows):
-        hi = min(lo + rows, a.shape[0])
+    blocks = _row_blocks(a.shape[0], _BLOCK_SIZE if rows is None else rows)
+    buf = np.empty((max(hi - lo for lo, hi in blocks), b.shape[0]))
+    for lo, hi in blocks:
         yield lo, hi, np.matmul(a[lo:hi], b.T, out=buf[: hi - lo])
 
 
 def _target_stats(qn, tn, kind: str, k: int, beta: float) -> np.ndarray:
     """Per-target statistic over every query: CSLS's r_q or ISF's log-sum-exp.
 
-    Walks blocks of target rows against all queries, each holding no
-    more cosines than one score block (_BLOCK_SIZE x n_targets) unless a
-    single target row holds more, and reduces each block along its rows
-    in place.
+    Walks blocks of _BLOCK_SIZE * n_targets // n_queries target rows
+    (at least two, see _row_blocks) against every query, so a block
+    holds about as many cosines as one score block, and reduces each
+    block along its rows in place.
     """
     nq, nt = qn.shape[0], tn.shape[0]
     out = np.empty(nt)
-    rows = max(1, _BLOCK_SIZE * nt // nq)
-    for lo, hi, ct in _cos_blocks(tn, qn, rows):
+    for lo, hi, ct in _cos_blocks(tn, qn, _BLOCK_SIZE * nt // nq):
         if kind == KIND_CSLS:
             out[lo:hi] = _top_k_row_means(ct, k)
         else:

@@ -5,7 +5,8 @@ dense scorers here are its oracles, and `retrieved_scores` reads its
 full score matrices back.  `nearest_rows` is the dense oracle of the
 blocked nearest-neighbour matching behind `matching_accuracy`.  The
 Frank-Wolfe objective and gradient are the oracles of `fw_solve`, which
-tracks them incrementally.
+tracks them incrementally.  `permutation_matrix` is the dense 0/1 form
+of a `Permutation`, which the library never builds.
 """
 
 import numpy as np
@@ -40,6 +41,13 @@ def csls_scores(q, t, k):
     r_t = top_k_row_means(cos, k)
     r_q = top_k_row_means(cos.T, k)
     return 2.0 * cos - r_t[:, None] - r_q[None, :]
+
+
+def permutation_matrix(perm):
+    """Dense 0/1 matrix P with P[i, perm.mapping[i]] = 1."""
+    p = np.zeros((perm.size, perm.size))
+    p[np.arange(perm.size), perm.mapping] = 1.0
+    return p
 
 
 def nearest_rows(xq, y):

@@ -5,6 +5,7 @@ import pytest
 
 import wproc.aligner as aligner_mod
 import wproc.sinkhorn as sinkhorn_mod
+from oracles import permutation_matrix
 from wproc.aligner import AlignmentConfig, AlignmentState, align, align_step
 from wproc.assignment import max_trace_matching
 from wproc.errors import (
@@ -92,7 +93,7 @@ def test_gradient_is_derivative_of_trace_form():
     y = rng.standard_normal((b, d))
     q = random_orthogonal(rng, d)
     perm = max_trace_matching((x @ q) @ y.T)
-    p = perm.as_matrix()
+    p = permutation_matrix(perm)
     m = x.T @ (p @ y)
     grad = -2.0 * m
 

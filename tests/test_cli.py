@@ -121,6 +121,35 @@ def test_init_align_refine_pipeline(inst, tmp_path):
     assert all(int(r["dictionary_size"]) > 0 for r in epoch_rows)
 
 
+def test_maps_passed_between_commands_are_served_by_their_sidecars(inst, tmp_path,
+                                                                  monkeypatch):
+    # Each command reads the map the command before it saved, so every
+    # load is a sidecar hit and no map text is parsed.
+    def refuse(lines, d):
+        raise AssertionError("a saved map was parsed as text")
+
+    loaded = []
+    load_map = data_io.load_map
+
+    def spy(path):
+        loaded.append(os.path.basename(path))
+        return load_map(path)
+
+    monkeypatch.setattr(data_io, "_parse_map_lines", refuse)
+    monkeypatch.setattr(data_io, "load_map", spy)
+    pair = (inst["src"], inst["tgt"])
+    q0, aligned, refined = (tmp_path / name for name in ("q0.map", "aligned.map",
+                                                         "refined.map"))
+    assert run("init", *pair, "--out", q0, "--fw-size", 50, "--fw-iters", 10) == 0
+    assert run("align", *pair, "--out", aligned, "--init", q0, "--iters", 10,
+               "--batch-size", 25, "--no-batch-doubling") == 0
+    assert run("refine", *pair, "--map", aligned, "--out", refined, "--epochs", 1) == 0
+    assert run("translate", *pair, "--map", refined, "--out", tmp_path / "t.tsv") == 0
+    assert run("eval", *pair, "--map", refined, "--lexicon", inst["lex"],
+               "--out", tmp_path / "report.json") == 0
+    assert loaded == ["q0.map", "aligned.map", "refined.map", "refined.map"]
+
+
 @pytest.mark.parametrize("kind", ["csls", "isf"])
 def test_translate_max_queries_only_limits_output(inst, tmp_path, kind):
     # CSLS and ISF statistics run over all queries, so a row's lines do
@@ -342,6 +371,15 @@ def test_exit_parse_on_tampered_map(inst, tmp_path):
     broken = tmp_path / "broken.map"
     broken.write_text("\n".join(lines) + "\n")
     assert run("translate", inst["src"], inst["tgt"], "--map", broken,
+               "--out", tmp_path / "o") == 2
+
+
+@pytest.mark.parametrize("command", ["refine", "eval"])
+def test_exit_parse_on_a_map_header_larger_than_the_file(inst, tmp_path, command):
+    big = tmp_path / "big.map"
+    big.write_text("100000000\n1 0\n0 1\n")
+    extra = ("--lexicon", inst["lex"]) if command == "eval" else ()
+    assert run(command, inst["src"], inst["tgt"], "--map", big, *extra,
                "--out", tmp_path / "o") == 2
 
 

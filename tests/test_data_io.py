@@ -657,43 +657,26 @@ _MAP_LOOP = data_io._parse_map_lines
 
 @pytest.mark.parametrize("sep", [" ", "\t", "  \x0b "])
 @pytest.mark.parametrize("last_newline", [True, False])
-def test_bulk_map_parse_is_bit_identical_to_line_loop(sep, last_newline):
+def test_map_line_loop_reads_each_value_as_float_does(sep, last_newline):
     # Every token appears in every column; the row check on non-finite
     # values comes after the parse, so nan and inf are parsed here too.
     d = len(AWKWARD)
-    lines = [" " + sep.join(AWKWARD[(i + j) % d] for j in range(d)) + " \n"
-             for i in range(d)]
+    tokens = [[AWKWARD[(i + j) % d] for j in range(d)] for i in range(d)]
+    lines = [" " + sep.join(row) + " \n" for row in tokens]
     if not last_newline:
         lines[-1] = lines[-1].rstrip("\n")
-    bulk, ref = np.empty((d, d)), np.empty((d, d))
-    assert data_io._parse_map_bulk(lines, bulk), "the rows fell back to the line loop"
-    _MAP_LOOP(lines, ref)
-    assert_same_bits(bulk, ref)
-
-
-@pytest.mark.parametrize("sidecar", [True, False])
-def test_saved_map_loads_by_the_bulk_path(tmp_path, monkeypatch, sidecar):
-    q = OrthogonalMap(q=np.linalg.qr(np.random.default_rng(5).standard_normal((40, 40)))[0])
-    p = str(tmp_path / "q.map")
-    save_map(p, q)
-    if not sidecar:
-        os.unlink(cache_of(p))
-
-    def refuse(lines, out):
-        raise AssertionError("the map fell back to the line loop")
-
-    monkeypatch.setattr(data_io, "_parse_map_lines", refuse)
-    assert_same_bits(load_map(p).q, q.q)
+    want = np.array([[float(t) for t in row] for row in tokens])
+    assert_same_bits(_MAP_LOOP(lines, d), want)
 
 
 @pytest.fixture
-def map_loop_calls(monkeypatch):
-    """Count the maps whose rows fall back to the line loop."""
+def map_parses(monkeypatch):
+    """Count the maps whose rows are parsed; a sidecar hit parses none."""
     calls = []
 
-    def spy(lines, out):
+    def spy(lines, d):
         calls.append(len(lines))
-        return _MAP_LOOP(lines, out)
+        return _MAP_LOOP(lines, d)
 
     monkeypatch.setattr(data_io, "_parse_map_lines", spy)
     return calls
@@ -705,28 +688,29 @@ def map_loop_calls(monkeypatch):
     ("2\n", "line 2: map ends after 0 of 2 rows"),
     ("2\n1 0 0\n0 1\n", "line 2: expected 2 values, got 3"),
     ("2\n1 0\n0 1 #c\n", "line 3: expected 2 values, got 3"),
-    # loadtxt skips a blank row and would return one row for two.
+    # A blank row is a row of no values, not one to skip.
     ("2\n1 0\n\n", "line 3: expected 2 values, got 0"),
     ("2\n1 0\n\n0 1\n", "line 3: expected 2 values, got 0"),
-    # All rows blank: loadtxt would warn that it read no data.
     ("2\n\n\n", "line 2: expected 2 values, got 0"),
+    # The rows are read before the matrix is made, so a header larger
+    # than the file allocates nothing.
+    ("100000000\n1 0\n0 1\n", "line 2: expected 100000000 values, got 2"),
     ("2\n1 z\n0 1\n", "line 2: unparseable numeric value"),
     ("2\n1 0\n0 0x1\n", "line 3: unparseable numeric value"),
 ])
-def test_load_map_errors_come_from_the_line_loop(tmp_path, map_loop_calls, body, message):
+def test_load_map_errors_come_from_the_line_loop(tmp_path, map_parses, body, message):
     p = write(tmp_path / "q.map", body)
     with pytest.raises(ParseError) as err:
         load_map(p)
     assert str(err.value) == message
-    assert len(map_loop_calls) == 1
+    assert len(map_parses) == 1
 
 
 @pytest.mark.parametrize("body", ["2\n1 0_0\n0 1\n", "2\n\u0661 0\n0 1\n"])
-def test_load_map_takes_what_float_takes(tmp_path, map_loop_calls, body):
-    # loadtxt refuses underscores and non-ASCII digits; float() reads
-    # them, so these rows load through the line loop.
+def test_load_map_takes_what_float_takes(tmp_path, map_parses, body):
+    # float() reads underscores and non-ASCII digits, so these rows load.
     assert load_map(write(tmp_path / "q.map", body)).q.tolist() == [[1.0, 0.0], [0.0, 1.0]]
-    assert len(map_loop_calls) == 1
+    assert len(map_parses) == 1
 
 
 @pytest.mark.filterwarnings("error")
@@ -758,22 +742,6 @@ def test_load_map_takes_a_blank_line_after_the_rows(tmp_path, tail):
 
 # --------------------------------------------------------------------------
 # The sidecar save_map writes beside each map.
-
-
-_MAP_BULK = data_io._parse_map_bulk
-
-
-@pytest.fixture
-def map_parses(monkeypatch):
-    """Count the maps whose rows are parsed; a sidecar hit parses none."""
-    calls = []
-
-    def spy(lines, out):
-        calls.append(len(lines))
-        return _MAP_BULK(lines, out)
-
-    monkeypatch.setattr(data_io, "_parse_map_bulk", spy)
-    return calls
 
 
 def saved_map(tmp_path, d=6, seed=0):

@@ -148,7 +148,8 @@ def test_matching_accuracy_counts_fraction():
 
 @pytest.mark.parametrize("n", [50, 49, 7, 8, 1])
 def test_nearest_rows_match_the_dense_oracle(monkeypatch, n):
-    # 7-row blocks: 50 rows end in a lone row, 49 and 7 in full blocks.
+    # 7-row blocks: the lone 50th row joins the block before; 49 and 7
+    # end in full blocks.
     monkeypatch.setattr(evaluation_mod, "_NN_ROWS", 7)
     rng = np.random.default_rng(14)
     for xq, y in ((rng.standard_normal((n, 5)), rng.standard_normal((33, 5))),

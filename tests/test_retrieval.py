@@ -142,8 +142,9 @@ def test_rows_returns_the_unlimited_rows_and_scores_only_their_blocks(monkeypatc
         assert np.array_equal(head.scores.view(np.uint64), full.scores[:rows].view(np.uint64))
         # CSLS and ISF take one pass over all 25 targets for their
         # statistics, in blocks of 7 * 25 // 40 = 4 target rows against
-        # every query; scoring stops after the block holding row rows - 1.
-        stats = [] if kind == "nn" else list(range(0, 25, 4))
+        # every query, the lone 25th row joining the block before;
+        # scoring stops after the block holding row rows - 1.
+        stats = [] if kind == "nn" else list(range(0, 24, 4))
         assert scored == stats + list(range(0, min(rows, 40), 7))
     with pytest.raises(InvalidArgumentError):
         retrieve(q, t, cfg, rows=0)
@@ -169,10 +170,35 @@ def test_statistics_blocks_cover_each_target_once_within_a_score_block(
     monkeypatch.setattr(retrieval_mod, "_cos_blocks", spy)
     cfg = RetrievalConfig(kind=kind, csls_k=3)
     got = retrieve(q, t, cfg, topk=2)
-    assert stats and all(size <= 5 * nt for _, _, size in stats)
+    # A block has 5 * nt // nq target rows, at least two, and one more
+    # when a lone last row joins it.
+    rows = max(2, 5 * nt // nq)
+    assert stats and all(size <= (rows + 1) * nq for _, _, size in stats)
+    assert all(hi - lo >= 2 for lo, hi, _ in stats)
     assert [i for lo, hi, _ in stats for i in range(lo, hi)] == list(range(nt))
     want = naive_csls(q, t, 3) if kind == "csls" else naive_isf(q, t, 25.0)
     assert np.abs(got.scores[:, 0] - want.max(axis=1)).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 513, 1025])
+@pytest.mark.parametrize("rows", [1, 2, 512])
+def test_row_blocks_cover_the_rows_with_no_lone_row(n, rows):
+    blocks = retrieval_mod._row_blocks(n, rows)
+    assert [i for lo, hi in blocks for i in range(lo, hi)] == list(range(n))
+    assert all(hi - lo >= min(n, 2) for lo, hi in blocks)
+    assert all(hi - lo <= max(rows, 2) + 1 for lo, hi in blocks)
+
+
+def test_a_row_has_the_same_bits_whatever_the_query_count():
+    # With 512-row blocks, 513 queries would end in a one-row block,
+    # which numpy multiplies as a matrix-vector product.
+    rng = np.random.default_rng(13)
+    q = unit(rng.standard_normal((514, 300)))
+    t = unit(rng.standard_normal((700, 300)))
+    cfg = RetrievalConfig(kind="nn")
+    short, long = (retrieve(q[:n], t, cfg, topk=3) for n in (513, 514))
+    assert np.array_equal(short.indices, long.indices[:513])
+    assert short.scores.tobytes() == long.scores[:513].tobytes()
 
 
 def tied_unit_rows(rng, n, d):
