@@ -243,7 +243,8 @@ def cmd_align(args, run) -> int:
         with run.phase("solve"):
             q = fit_orthogonal(xs[[spos[a] for a, _ in hits]],
                                ys[[tpos[b] for _, b in hits]])
-        save_map(args.out, q)
+        with run.phase("write"):
+            save_map(args.out, q)
         print(f"wrote {args.out} (supervised fit on {len(hits)} pairs)")
         return EXIT_OK
 
@@ -335,7 +336,7 @@ def cmd_eval(args, run) -> int:
         lex = load_lexicon(args.lexicon)
     with run.phase("evaluate"):
         report = evaluate_bli(src, tgt, q, lex, _retrieval_config(args), ks=ks)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with run.phase("write"), open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
     run.outputs.append(args.out)
@@ -424,8 +425,9 @@ def cmd_bench_batch_size(args, run) -> int:
             acc = matching_accuracy(inst, state.q, "nn")
             rows.append((b, seed, acc))
             print(f"b={b} seed={seed}: accuracy {acc:.4f} in {run.timings[phase]:.1f}s")
-    _write_csv(args.out, ["batch_size", "seed", "accuracy"],
-               ([b, seed, "%.17g" % acc] for b, seed, acc in rows))
+    with run.phase("write"):
+        _write_csv(args.out, ["batch_size", "seed", "accuracy"],
+                   ([b, seed, "%.17g" % acc] for b, seed, acc in rows))
     run.outputs.append(args.out)
     for b in sizes:
         accs = [a for bb, _, a in rows if bb == b]

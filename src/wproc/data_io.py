@@ -6,12 +6,13 @@ single ASCII spaces, UTF-8, optionally gzip-compressed (detected by the
 magic bytes).  Loaders are strict: malformed input is rejected with the
 offending line number, never repaired, because silently dropped or
 deduplicated rows shift the frequency order every downstream stage
-depends on.  ``load_vec`` keeps what it parsed in a file beside its
-input, ``<path>.wproc-cache.npz``, keyed by a sha256 of the bytes it
-read, so a later load of the same bytes skips the text parse.
-``save_map`` stores the matrix it wrote the same way, so ``load_map``
-skips the parse of any map file it finds unchanged; any other map is
-read by the strict line loop.
+depends on.  Each format has one text parser, a strict loop over its
+lines, and one cache file beside each input,
+``<path>.wproc-cache.npz``, keyed by a sha256 of the bytes it holds.
+``load_vec`` stores what the loop parsed there, so a later load of the
+same bytes skips the text parse.  ``save_map`` stores the matrix it
+wrote the same way, so ``load_map`` skips the parse of any map file it
+finds unchanged.
 """
 
 from __future__ import annotations
@@ -138,19 +139,6 @@ def _open_text(path):
     return io.TextIOWrapper(_open_binary(path), encoding="utf-8")
 
 
-# Data lines are read and parsed this many at a time, so memory stays
-# bounded by one chunk whatever the file size.  Larger chunks parse no
-# faster and leave more freed heap behind: 1024-row chunks of d=300 lines
-# raised the peak RSS of a whole CLI pipeline by about 7 MB.
-_CHUNK_ROWS = 128
-
-# Characters that send a chunk to the line loop.  The text reader already
-# turns "\r\n" and "\r" into "\n"; a stray "\r" is still refused here.
-# np.loadtxt strips \x1c-\x1f around a number (str.isspace counts them as
-# whitespace) where float() refuses them.
-_LOOP_ONLY = "\r\x1c\x1d\x1e\x1f"
-
-
 def load_vec(path, max_rows: int | None = None) -> EmbeddingSet:
     """Read an embedding file, keeping the first min(n, max_rows) rows.
 
@@ -160,12 +148,14 @@ def load_vec(path, max_rows: int | None = None) -> EmbeddingSet:
     lines are read; the check for rows beyond the header's count reads
     one more line, and only when the whole file is wanted.
 
-    A successful parse is stored beside the file in
-    ``<path>.wproc-cache.npz`` (when that directory is writable), keyed
-    by a sha256 of the bytes the parse read (_vec_key); a later load of
-    the same bytes returns the stored rows without parsing.  The parser
-    stays the only definition of a valid file: a cache file holds only
-    what it returned, and a file it refuses is never cached.
+    The rows come from one of two places.  ``<path>.wproc-cache.npz``
+    serves them when it holds an entry under a sha256 of the bytes the
+    parse would read (_vec_key).  Otherwise _parse_vec parses the text
+    with the strict line loop and, when that directory is writable,
+    stores the result there; in a read-only directory every load
+    parses.  The loop stays the only definition of a valid file: a cache
+    file holds only what it returned, and a file it refuses is never
+    cached.
     """
     if max_rows is not None and max_rows < 1:
         raise InvalidArgumentError("max_rows must be at least 1")
@@ -343,89 +333,45 @@ def _write_cache(cache, digest, arrays, source=None):
 
 
 def _parse_vec(path, max_rows):
-    """The text parse of load_vec.
+    """The text parse of load_vec: the header, then _parse_lines.
 
-    Data lines are parsed in chunks by np.loadtxt.  A chunk that fails
-    any of its checks is parsed again by _parse_lines, the strict line
-    loop that defines a valid file: it raises the error or accepts the
-    input (``1_0``, non-ASCII digits) exactly as it would alone.
+    The matrix is allocated once, before any row is read, and never with
+    more rows than the file can hold.  A valid data line is a word and d
+    values of at least one character each, d spaces and a newline: at
+    least 2d + 2 bytes, and the header's newline pays for a last line
+    without one.  A gzip file expands to at most 1032 times its size,
+    deflate's limit.  So a truthful header costs one want x d matrix,
+    and a header larger than the file costs no more than its bytes
+    allow before the parse raises.
     """
     with _open_text(path) as fh:
         n, d = _header_counts(fh.readline())
         want = n if max_rows is None else min(n, max_rows)
-        labels = []
-        seen = set()
-        rows = np.empty((want, d))
-        lo = 0
-        while lo < want:
-            size = min(_CHUNK_ROWS, want - lo)
-            lines = list(itertools.islice(fh, size))
-            hi = lo + len(lines)
-            words = _parse_chunk(lines, d, seen, rows[lo:hi])
-            if words is None:
-                words = _parse_lines(lines, d, lo, seen, rows[lo:hi])
-            labels.extend(words)
-            if len(lines) < size:
-                raise ParseError(
-                    f"file ends after {hi} data rows, header declared {n}", line=hi + 2
-                )
-            lo = hi
-        if want == n:
-            extra = fh.readline()
-            if extra.strip():
-                raise ParseError(
-                    f"more data rows than the header's {n}", line=want + 2
-                )
+        size = os.fstat(fh.fileno()).st_size
+        if isinstance(fh.buffer, gzip.GzipFile):
+            size *= 1032
+        rows = np.empty((min(want, size // (2 * d + 2)), d))
+        labels = _parse_lines(itertools.islice(fh, want), d, rows)
+        if len(labels) < want:
+            raise ParseError(f"file ends after {len(labels)} data rows, "
+                             f"header declared {n}", line=len(labels) + 2)
+        if want == n and fh.readline().strip():
+            raise ParseError(f"more data rows than the header's {n}", line=want + 2)
     return EmbeddingSet(labels=tuple(labels), matrix=rows)
 
 
-def _parse_chunk(lines, d, seen, out):
-    """Bulk-parse data lines into out and their words into seen.
-
-    Returns the words, or None, touching neither out nor seen, when the
-    chunk needs the line loop.
-
-    Accepts only what _parse_lines accepts, with the same values: loadtxt
-    returns a row for every line and rejects a line with fewer than d
-    spaces, so d spaces per line on average means exactly d on each.
-    """
-    if not lines:  # loadtxt warns on empty input
-        return None
-    text = "".join(lines)
-    if any(c in text for c in _LOOP_ONLY) or text.count(" ") != len(lines) * d:
-        return None
-    try:
-        words = [line[: line.index(" ")] for line in lines]
-    except ValueError:
-        return None
-    if "" in words or len(set(words)) != len(words) or not seen.isdisjoint(words):
-        return None
-    try:
-        values = np.loadtxt(lines, delimiter=" ", usecols=range(1, d + 1),
-                            comments=None, quotechar=None, ndmin=2)
-    except ValueError:
-        return None
-    # loadtxt skips empty lines, which the word check has already refused;
-    # the row count is checked all the same.
-    if values.shape != out.shape:
-        return None
-    out[...] = values
-    seen.update(words)
-    return words
-
-
-def _parse_lines(lines, d, first, seen, out):
+def _parse_lines(lines, d, out):
     """The strict definition of a valid data line, one line at a time.
 
-    lines are data rows first + 1, first + 2, ... of the file; their
-    values go into out and their words into seen.  Returns the words, or
-    raises ParseError with the line's 1-based number in the file.
+    lines are the data rows of the file from its first; their values go
+    into out.  Returns the words, or raises ParseError with the line's
+    1-based number in the file.
     """
     words = []
+    seen = set()
     for k, line in enumerate(lines):
-        line_no = first + k + 2
-        line = line.rstrip("\n").rstrip("\r")
-        tokens = line.split(" ")
+        line_no = k + 2
+        tokens = line.rstrip("\n").split(" ")
         if len(tokens) != d + 1:
             raise ParseError(
                 f"expected a word and {d} values, got {len(tokens)} tokens",
@@ -439,7 +385,7 @@ def _parse_lines(lines, d, first, seen, out):
         seen.add(word)
         words.append(word)
         try:
-            out[k] = [float(t) for t in tokens[1:]]
+            out[k] = list(map(float, tokens[1:]))
         except ValueError:
             raise ParseError("unparseable numeric value", line=line_no) from None
     return words

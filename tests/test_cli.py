@@ -150,6 +150,39 @@ def test_maps_passed_between_commands_are_served_by_their_sidecars(inst, tmp_pat
     assert loaded == ["q0.map", "aligned.map", "refined.map", "refined.map"]
 
 
+def test_vec_inputs_are_parsed_by_the_first_command_only(inst, tmp_path, monkeypatch):
+    # The first load of each file parses it and writes its cache file;
+    # every later command reads that file instead.
+    parsed = []
+    parse_lines = data_io._parse_lines
+
+    def spy(lines, d, out):
+        words = parse_lines(lines, d, out)
+        parsed.append(words[0])
+        return words
+
+    monkeypatch.setattr(data_io, "_parse_lines", spy)
+    pair = (inst["src"], inst["tgt"])
+    assert not any(os.path.exists(p + data_io._CACHE_SUFFIX) for p in pair)
+    q0, aligned, refined = (tmp_path / name for name in ("q0.map", "aligned.map",
+                                                         "refined.map"))
+    commands = [
+        ("init", *pair, "--out", q0, "--fw-size", 50, "--fw-iters", 10),
+        ("align", *pair, "--out", aligned, "--init", q0, "--iters", 10,
+         "--batch-size", 25, "--no-batch-doubling"),
+        ("refine", *pair, "--map", aligned, "--out", refined, "--epochs", 1),
+        ("translate", *pair, "--map", refined, "--out", tmp_path / "t.tsv"),
+        ("eval", *pair, "--map", refined, "--lexicon", inst["lex"],
+         "--out", tmp_path / "report.json"),
+    ]
+    counts = []
+    for argv in commands:
+        assert run(*argv) == 0
+        counts.append(len(parsed))
+    assert parsed == ["s0000", "t0000"]
+    assert counts == [2, 2, 2, 2, 2]
+
+
 @pytest.mark.parametrize("kind", ["csls", "isf"])
 def test_translate_max_queries_only_limits_output(inst, tmp_path, kind):
     # CSLS and ISF statistics run over all queries, so a row's lines do
@@ -260,20 +293,20 @@ PAIR = ("{src}", "{tgt}")
                   "--loss-csv", "{dir}/loss.csv"),
                  {"load", "init", "align", "write"}, ["result"], id="align"),
     pytest.param(("align", *PAIR, "--supervised", "{lex}"),
-                 {"load", "solve"}, ["result"], id="align-supervised"),
+                 {"load", "solve", "write"}, ["result"], id="align-supervised"),
     pytest.param(("refine", *PAIR, "--map", "{map}", "--epochs", 1),
                  {"load", "refine", "write"}, ["result"], id="refine"),
     pytest.param(("translate", *PAIR, "--map", "{map}"),
                  {"load", "retrieve", "write"}, [], id="translate"),
     pytest.param(("eval", *PAIR, "--map", "{map}", "--lexicon", "{lex}"),
-                 {"load", "evaluate"}, [], id="eval"),
+                 {"load", "evaluate", "write"}, [], id="eval"),
     pytest.param(("synth", "--n", 10, "--d", 3),
                  {"generate", "write"}, ["result.map"], id="synth"),
     pytest.param(("plot", *PAIR, "--map", "{map}"),
                  {"load", "project", "write"}, [], id="plot"),
     pytest.param(("bench-batch-size", "--n", 40, "--d", 3, "--seeds", 1,
                   "--sizes", "8,16", "--iters", 2),
-                 {"generate", "align_b8_seed1000", "align_b16_seed1000"}, [],
+                 {"generate", "align_b8_seed1000", "align_b16_seed1000", "write"}, [],
                  id="bench-batch-size"),
 ])
 def test_manifest_records_phases_and_outputs(inst, tmp_path, argv, phases, maps):
@@ -363,6 +396,12 @@ def test_exit_parse_on_bad_vec(tmp_path):
     bad.write_text("not_a_number five\n")
     assert run("translate", bad, bad, "--map", "x", "--out",
                tmp_path / "o") == 2
+
+
+def test_exit_parse_on_a_vec_header_larger_than_the_file(tmp_path):
+    big = tmp_path / "big.vec"
+    big.write_text("1000000000 1000\nw 1\n")
+    assert run("translate", big, big, "--map", "x", "--out", tmp_path / "o") == 2
 
 
 def test_exit_parse_on_tampered_map(inst, tmp_path):

@@ -6,6 +6,7 @@ import io
 import os
 import stat
 import threading
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -67,6 +68,13 @@ def test_load_vec_parse_errors_carry_line_numbers(tmp_path):
         ("2 2\na 1 2\na 3 4\n", "line 3"),  # duplicate word
         ("1 2\na 1 2\nb 3 4\n", "line 3"),  # more rows than header
         ("1 2\n 1 2\n", "line 2"),  # empty word
+        # float() refuses \x1c-\x1f around a number, though str.isspace
+        # counts them as whitespace.
+        ("1 2\na \x1c1 2\n", "line 2"),
+        ("2 2\na 1\x1f 2\nb 3 4\n", "line 2"),
+        ("2 2\na 1 2 3 4\n\n", "line 2"),  # four spaces over two lines
+        ("2 2\n\na 1 2\n", "line 2"),  # blank line
+        ("2 2\r\na 1\r2\n", "line 2"),  # a lone \r ends a line too
     ]
     for body, frag in cases:
         p = write(tmp_path / "bad.vec", body)
@@ -83,41 +91,9 @@ def test_load_vec_splits_on_single_spaces_only(tmp_path):
         load_vec(p)
 
 
-# The line loop as it stands before any test patches it: the reference
-# parse the bulk path must reproduce.
-_LINE_LOOP = data_io._parse_lines
-
-
-def loop_parse(path):
-    """Labels and values of a whole file, parsed by the line loop alone."""
-    with data_io._open_text(path) as fh:
-        d = int(fh.readline().split()[1])
-        lines = fh.readlines()
-    out = np.empty((len(lines), d))
-    return tuple(_LINE_LOOP(lines, d, 0, set(), out)), out
-
-
-@pytest.fixture
-def bulk_only(monkeypatch):
-    """Make any fall back to the line loop fail the test."""
-
-    def refuse(lines, d, first, seen, out):
-        raise AssertionError(f"chunk at data row {first + 1} fell back to the line loop")
-
-    monkeypatch.setattr(data_io, "_parse_lines", refuse)
-
-
-@pytest.fixture
-def loop_calls(monkeypatch):
-    """Count the chunks that fall back to the line loop."""
-    calls = []
-
-    def spy(lines, d, first, seen, out):
-        calls.append(first)
-        return _LINE_LOOP(lines, d, first, seen, out)
-
-    monkeypatch.setattr(data_io, "_parse_lines", spy)
-    return calls
+def parse(path):
+    """The rows of a whole file as the text parse reads them, cache aside."""
+    return data_io._parse_vec(path, None).matrix
 
 
 def assert_same_bits(a, b):
@@ -133,89 +109,105 @@ AWKWARD = [
     "0.12345678901234567", "-9.8765432109876543e-17", "12345678901234567",
     ".5", "5.", "007", "0.1000000000000000055511151231257827",
 ]
+# An EmbeddingSet refuses non-finite values, so only these load as a file.
+FINITE = [t for t in AWKWARD if np.isfinite(float(t))]
 
 
-@pytest.mark.parametrize("d", [1, 3, len(AWKWARD)])
+def rotated(tokens, d):
+    """One row per token, d columns, so every token appears in every column."""
+    m = len(tokens)
+    return [[tokens[(i + j) % m] for j in range(d)] for i in range(m)]
+
+
+@pytest.mark.parametrize("d", [1, 3, 29])
 @pytest.mark.parametrize("last_newline", [True, False])
-def test_bulk_parse_is_bit_identical_to_line_loop(d, last_newline):
-    # An EmbeddingSet refuses non-finite values, so the two parsers are
-    # compared on a chunk of lines; every token appears in every column.
-    m = len(AWKWARD)
-    lines = [f"w{i} " + " ".join(AWKWARD[(i + j) % m] for j in range(d)) + "\n"
-             for i in range(m)]
+def test_finite_tokens_load_with_the_bits_float_gives_them(tmp_path, d, last_newline):
+    table = rotated(FINITE, d)
+    text = f"{len(table)} {d}\n" + "".join(
+        f"w{i} " + " ".join(row) + "\n" for i, row in enumerate(table))
+    p = write(tmp_path / "a.vec", text if last_newline else text[:-1])
+    e = load_vec(p)
+    assert e.labels == tuple(f"w{i}" for i in range(len(table)))
+    assert_same_bits(e.matrix, np.array([[float(t) for t in row] for row in table]))
+
+
+@pytest.mark.parametrize("last_newline", [True, False])
+def test_the_line_loop_reads_every_token_as_float_does(last_newline):
+    # nan and inf reach the matrix before EmbeddingSet refuses them.
+    table = rotated(AWKWARD, len(AWKWARD))
+    lines = [f"w{i} " + " ".join(row) + "\n" for i, row in enumerate(table)]
     if not last_newline:
         lines[-1] = lines[-1].rstrip("\n")
-    bulk, ref = np.empty((m, d)), np.empty((m, d))
-    words = data_io._parse_chunk(lines, d, set(), bulk)
-    assert words is not None, "the chunk fell back to the line loop"
-    assert words == _LINE_LOOP(lines, d, 0, set(), ref)
-    assert_same_bits(bulk, ref)
-
-
-@pytest.mark.parametrize("body", [
-    "1 3\nonly 1 -0 5e-324\n",  # one row
-    "2 2\na 1 2\nb -0.0 1e-400",  # no final newline
-    "1 1\nx -0\n",  # d = 1
-])
-def test_bulk_parse_small_files(tmp_path, bulk_only, body):
-    p = write(tmp_path / "a.vec", body)
-    e = load_vec(p)
-    labels, want = loop_parse(p)
-    assert e.labels == labels
-    assert_same_bits(e.matrix, want)
+    out = np.empty((len(table), len(AWKWARD)))
+    assert data_io._parse_lines(lines, len(AWKWARD), out) == [
+        f"w{i}" for i in range(len(table))]
+    assert_same_bits(out, np.array([[float(t) for t in row] for row in table]))
 
 
 @pytest.mark.parametrize("name", ["a.vec", "a.vec.gz"])
-def test_save_vec_output_takes_the_bulk_path_in_every_chunk(tmp_path, bulk_only, name):
-    # 2 full chunks and a partial third, plain and gzip; a chunk that fell
-    # back to the line loop would fail the test.
-    n = 2 * data_io._CHUNK_ROWS + 7
+def test_save_vec_output_loads_back_past_256_rows(tmp_path, name):
+    n = 263
     e = EmbeddingSet(labels=tuple(f"r{i}" for i in range(n)),
                      matrix=np.random.default_rng(3).standard_normal((n, 4)) * 1e3)
     p = str(tmp_path / name)
     save_vec(p, e)
     back = load_vec(p)
-    labels, want = loop_parse(p)
-    assert back.labels == labels == e.labels
-    assert_same_bits(back.matrix, want)
+    assert back.labels == e.labels
+    # save_vec writes "%.8g"; each value loads as float() reads that text.
+    want = [[float("%.8g" % v) for v in row] for row in e.matrix.tolist()]
+    assert_same_bits(back.matrix, np.array(want))
 
 
-@pytest.mark.parametrize("raw, want, falls_back", [
-    # The text reader turns CRLF into LF before either parser sees it.
-    (b"2 2\r\na 1 2\r\nb 3 4\r\n", [[1.0, 2.0], [3.0, 4.0]], False),
-    ("1 2\na 1_0 2\n".encode(), [[10.0, 2.0]], True),
-    ("1 2\na ١ 2\n".encode(), [[1.0, 2.0]], True),  # Arabic-Indic one
+@pytest.mark.parametrize("raw, want", [
+    # The text reader turns CRLF into LF before the loop sees it.
+    (b"2 2\r\na 1 2\r\nb 3 4\r\n", [[1.0, 2.0], [3.0, 4.0]]),
+    ("1 2\na 1_0 2\n".encode(), [[10.0, 2.0]]),
+    ("1 2\na \u0661 2\n".encode(), [[1.0, 2.0]]),  # Arabic-Indic one
 ])
-def test_crlf_underscores_and_unicode_digits_load_as_the_loop_does(
-    tmp_path, loop_calls, raw, want, falls_back
-):
+def test_crlf_underscores_and_unicode_digits_load_as_the_loop_does(tmp_path, raw, want):
     p = tmp_path / "a.vec"
     p.write_bytes(raw)
     e = load_vec(str(p))
-    labels, ref = loop_parse(str(p))
-    assert e.labels == labels
-    assert_same_bits(e.matrix, ref)
-    assert e.matrix.tolist() == want
-    assert loop_calls == ([0] if falls_back else [])
+    assert e.labels == ("a", "b")[: len(want)]
+    assert_same_bits(e.matrix, np.array(want))
 
 
-@pytest.mark.parametrize("body, frag", [
-    # np.loadtxt strips \x1c-\x1f around a number; float() refuses them.
-    ("1 2\na \x1c1 2\n", "line 2"),
-    ("2 2\na 1\x1f 2\nb 3 4\n", "line 2"),
-    # Four spaces on two lines, but one of them is blank: loadtxt skips
-    # the blank line and would return one row for two.
-    ("2 2\na 1 2 3 4\n\n", "line 2"),
+@pytest.mark.parametrize("name", ["big.vec", "big.vec.gz"])
+@pytest.mark.parametrize("header, message", [
+    ("1000000000 1000", "line 2: expected a word and 1000 values, got 2 tokens"),
+    ("1000000000 1", "line 3: file ends after 1 data rows, header declared 1000000000"),
 ])
-def test_bulk_checks_send_loop_errors_through(tmp_path, loop_calls, body, frag):
-    p = write(tmp_path / "bad.vec", body)
-    with pytest.raises(ParseError) as err:
-        load_vec(p)
-    assert frag in str(err.value)
-    assert loop_calls == [0]
+def test_a_header_larger_than_the_file_allocates_only_what_the_file_holds(
+    tmp_path, name, header, message
+):
+    # Either header asks for 8 GB or more up front.
+    text = f"{header}\nw 1\n".encode()
+    p = tmp_path / name
+    p.write_bytes(gzip.compress(text) if name.endswith(".gz") else text)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as err:
+            load_vec(str(p))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == message
+    assert peak < 8 << 20
 
 
-def test_max_rows_reads_no_further(tmp_path, bulk_only):
+def test_a_gzip_file_holds_more_rows_than_its_size_in_bytes_allows_as_text(tmp_path):
+    # Rows of zeros compress far below 2d + 2 bytes a line, so the row
+    # bound of a gzip file comes from what its bytes can expand to.
+    n, d = 200, 300
+    text = f"{n} {d}\n" + "".join(f"w{i} " + " ".join(["0"] * d) + "\n" for i in range(n))
+    p = tmp_path / "zeros.vec.gz"
+    p.write_bytes(gzip.compress(text.encode()))
+    assert os.path.getsize(p) // (2 * d + 2) < n
+    e = load_vec(str(p))
+    assert e.size == n and not e.matrix.any()
+
+
+def test_max_rows_reads_no_further(tmp_path):
     good = "".join(f"w{i} {i} -{i}\n" for i in range(5))
     p = write(tmp_path / "a.vec", "9 2\n" + good + "w0 not a row\n\n \x1c")
     e = load_vec(p, max_rows=5)
@@ -227,31 +219,30 @@ def test_max_rows_reads_no_further(tmp_path, bulk_only):
 
 
 # (data lines after the good ones, header count beyond the good ones,
-# expected error): the error cases above, placed in a later chunk.
+# expected error): the error cases above, placed after 4 good rows and
+# after 130, past the first 128.
 LATE_ERRORS = [
     (["a 1 2\n"], 2, "file ends after {g1} data rows, header declared {n}"),
     (["a 1 2 3\n"], 1, "expected a word and 2 values, got 4 tokens"),
     (["a 1\n"], 1, "expected a word and 2 values, got 2 tokens"),
     (["a 1 z\n"], 1, "unparseable numeric value"),
     (["a 1 2\n", "a 3 4\n"], 2, "duplicate word 'a'"),
-    (["g0 1 2\n"], 1, "duplicate word 'g0'"),  # repeats a word of chunk 1
+    (["g0 1 2\n"], 1, "duplicate word 'g0'"),  # repeats the first row's word
     (["a 1 2\n"], 0, "more data rows than the header's {n}"),
     ([" 1 2\n"], 1, "empty word"),
     (["foo  1 2\n"], 1, "expected a word and 2 values, got 4 tokens"),
 ]
 
 
-@pytest.mark.parametrize("chunk", [4, None])
+@pytest.mark.parametrize("good", [4, 130])
 @pytest.mark.parametrize("tail, extra, message", LATE_ERRORS)
 def test_errors_in_a_later_chunk_carry_absolute_line_numbers(
-    tmp_path, monkeypatch, chunk, tail, extra, message
+    tmp_path, good, tail, extra, message
 ):
-    if chunk is not None:
-        monkeypatch.setattr(data_io, "_CHUNK_ROWS", chunk)
-    g = (chunk or data_io._CHUNK_ROWS) + 2  # good rows: one chunk and a bit
+    g = good + 2
     n = g + extra
-    good = "".join(f"g{i} {i} 0.5\n" for i in range(g))
-    p = write(tmp_path / "bad.vec", f"{n} 2\n" + good + "".join(tail))
+    rows = "".join(f"g{i} {i} 0.5\n" for i in range(g))
+    p = write(tmp_path / "bad.vec", f"{n} 2\n" + rows + "".join(tail))
     with pytest.raises(ParseError) as err:
         load_vec(p)
     # The failing line is the last one written; truncation names the
@@ -264,8 +255,8 @@ def test_errors_in_a_later_chunk_carry_absolute_line_numbers(
 
 
 @pytest.mark.filterwarnings("error")
-def test_file_ending_at_a_chunk_boundary_is_truncated(tmp_path, monkeypatch):
-    monkeypatch.setattr(data_io, "_CHUNK_ROWS", 4)
+def test_file_ending_at_a_chunk_boundary_is_truncated(tmp_path):
+    # The file ends with a whole line, one row short of its header.
     good = "".join(f"g{i} {i} 0.5\n" for i in range(8))
     p = write(tmp_path / "bad.vec", "9 2\n" + good)
     with pytest.raises(ParseError) as err:
@@ -344,7 +335,7 @@ def test_same_size_rewrite_with_the_old_mtime_is_not_served(tmp_path, error):
     if error is None:
         again = load_vec(str(p))
         assert not np.array_equal(again.matrix[-1], first.matrix[-1])
-        assert_same_bits(again.matrix, loop_parse(str(p))[1])
+        assert_same_bits(again.matrix, parse(str(p)))
     else:
         with pytest.raises(ParseError) as err:
             load_vec(str(p))
@@ -457,7 +448,7 @@ def test_a_cache_owned_by_another_user_is_a_miss(tmp_path, monkeypatch):
     assert not load_vec(str(p)).matrix.any()  # our own file is served
     uid = os.getuid()
     monkeypatch.setattr(data_io.os, "getuid", lambda: uid + 1)
-    assert_same_bits(load_vec(str(p)).matrix, loop_parse(str(p))[1])
+    assert_same_bits(load_vec(str(p)).matrix, parse(str(p)))
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
@@ -478,7 +469,7 @@ def test_a_change_to_the_parser_source_makes_older_caches_miss(tmp_path, monkeyp
     p.write_text(vec_text(4, 3), encoding="utf-8")
     plant_zero_cache(p)
     monkeypatch.setattr(data_io, "_cache_tag", lambda: b"another parser")
-    assert_same_bits(load_vec(str(p)).matrix, loop_parse(str(p))[1])
+    assert_same_bits(load_vec(str(p)).matrix, parse(str(p)))
 
 
 def test_the_cache_tag_is_a_digest_of_the_module_source():
