@@ -183,12 +183,11 @@ def _retrieval_config(args):
 
 
 def _run_convex_init(args, xs, ys):
-    from .qap_init import FwConfig, build_grams, extract_q0, fw_solve
+    from .qap_init import build_grams, extract_q0, fw_solve
 
     m = min(args.fw_size, xs.shape[0], ys.shape[0])
     grams = build_grams(xs, ys, m)
-    plan, trace = fw_solve(grams, FwConfig(max_iters=args.fw_iters,
-                                           gap_tol=args.fw_gap_tol))
+    plan, trace = fw_solve(grams, args.fw_iters, args.fw_gap_tol)
     return extract_q0(grams.x, grams.y, plan), plan, trace
 
 
@@ -229,6 +228,8 @@ def cmd_align(args, run) -> int:
     from .data_io import load_lexicon, save_map
     from .procrustes import fit_orthogonal
 
+    if args.supervised and args.loss_csv:
+        raise ConfigError("--loss-csv has no loss to write under --supervised")
     with run.phase("load"):
         src, tgt = _load_pair(args)
     xs, ys = src.matrix, tgt.matrix

@@ -24,7 +24,7 @@ from .linalg import OrthogonalMap, as_matrix
 from .procrustes import fit_orthogonal
 from .sinkhorn import TransportPlan
 
-__all__ = ["GramPair", "FwConfig", "build_grams", "fw_solve", "extract_q0"]
+__all__ = ["GramPair", "build_grams", "fw_solve", "extract_q0"]
 
 
 def _gram(a: np.ndarray) -> np.ndarray:
@@ -62,25 +62,6 @@ class GramPair:
     @property
     def size(self) -> int:
         return self.kx.shape[0]
-
-
-@dataclass(frozen=True)
-class FwConfig:
-    """Frank-Wolfe settings.
-
-    gap_tol = None resolves at solve time to 1e-6 times the initial
-    objective; the relaxation converges slowly near the boundary and the
-    output only needs to land in the basin of the stochastic optimizer.
-    """
-
-    max_iters: int = 300
-    gap_tol: float | None = None
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise InvalidArgumentError("max_iters must be at least 1")
-        if self.gap_tol is not None and not self.gap_tol > 0.0:
-            raise InvalidArgumentError("gap_tol must be positive")
 
 
 def build_grams(x, y, m: int) -> GramPair:
@@ -137,16 +118,21 @@ def _reduced_cost(cost: np.ndarray) -> np.ndarray:
     return cost - f[:, None] - g[None, :]
 
 
-def fw_solve(g: GramPair, cfg: FwConfig | None = None):
+def fw_solve(g: GramPair, max_iters: int = 300, gap_tol: float | None = None):
     """Minimize the relaxation over doubly stochastic matrices.
 
     Starts from the uniform coupling.  Each iteration takes the vertex
     minimizing the linearized objective (an exact assignment with the
     gradient as cost), then moves by the closed-form optimal step of the
     quadratic along the segment, clipped to [0, 1].  Terminates when the
-    duality gap <grad, P - S> drops below gap_tol.  The assignment is
-    solved on the gradient minus entropic dual potentials, which has the
-    same optimal vertices and solves several times faster.
+    duality gap <grad, P - S> drops below gap_tol, or after max_iters
+    iterations.  The assignment is solved on the gradient minus entropic
+    dual potentials, which has the same optimal vertices and solves
+    several times faster.
+
+    gap_tol = None resolves to 1e-6 times the initial objective; the
+    relaxation converges slowly near the boundary and the output only
+    needs to land in the basin of the stochastic optimizer.
 
     Returns
     -------
@@ -154,20 +140,23 @@ def fw_solve(g: GramPair, cfg: FwConfig | None = None):
         The coupling scaled to total mass 1, and the objective value at
         the initial point plus after every iteration.
     """
-    if cfg is None:
-        cfg = FwConfig()
+    if max_iters < 1:
+        raise InvalidArgumentError("max_iters must be at least 1")
+    if gap_tol is not None and not gap_tol > 0.0:
+        raise InvalidArgumentError("gap_tol must be positive")
     m = g.size
     p = np.full((m, m), 1.0 / m)
     # R = Kx P - P Ky is maintained incrementally: the line segment is
     # linear in P, so R moves by gamma * T per step with no extra products.
     r = g.kx @ p - p @ g.ky
     f0 = float((r * r).sum())
-    gap_tol = cfg.gap_tol if cfg.gap_tol is not None else 1e-6 * f0
+    if gap_tol is None:
+        gap_tol = 1e-6 * f0
     trace = [f0]
     rows = np.arange(m)
     iters = 0
     converged = False
-    for _ in range(cfg.max_iters):
+    for _ in range(max_iters):
         grad = 2.0 * (g.kx @ r - r @ g.ky)
         # Subtracting row and column potentials moves every permutation's
         # total by one constant, so the optimal vertex is unchanged.  The

@@ -18,38 +18,11 @@ from .linalg import OrthogonalMap, as_matrix
 from .procrustes import fit_orthogonal
 from .retrieval import KIND_CSLS, _scored_blocks
 
-__all__ = ["SeedDictionary", "RefineResult", "mutual_nn_dictionary", "refine"]
+__all__ = ["RefineResult", "mutual_nn_dictionary", "refine"]
 
 # Mutual-NN search over the full vocabulary is wasteful; frequent rows
 # are better anchors, so the dictionary pool defaults to the top 20000.
 _DICT_POOL_DEFAULT = 20000
-
-
-@dataclass(frozen=True)
-class SeedDictionary:
-    """Induced correspondence pairs (source index, target index)."""
-
-    pairs: tuple
-
-    def __post_init__(self):
-        pairs = tuple((int(i), int(j)) for i, j in self.pairs)
-        sources = [i for i, _ in pairs]
-        if len(set(sources)) != len(sources):
-            raise InvalidArgumentError("duplicate source index in dictionary")
-        if any(i < 0 or j < 0 for i, j in pairs):
-            raise InvalidArgumentError("negative index in dictionary")
-        object.__setattr__(self, "pairs", pairs)
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    @property
-    def sources(self) -> np.ndarray:
-        return np.array([i for i, _ in self.pairs], dtype=np.int64)
-
-    @property
-    def targets(self) -> np.ndarray:
-        return np.array([j for _, j in self.pairs], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -75,13 +48,14 @@ def _check_counts(csls_k: int, candidate_cap: int):
 
 def mutual_nn_dictionary(
     x_mapped, y, csls_k: int = 10, candidate_cap: int = _DICT_POOL_DEFAULT
-) -> SeedDictionary:
+) -> np.ndarray:
     """Pairs (i, j) that are each other's best match under CSLS.
 
-    Scored over the first candidate_cap rows of each set, with csls_k
-    clamped to both set sizes.  The CSLS matrix is symmetric in its two
-    penalty terms, so the backward direction is its transpose and one
-    matrix serves both argmaxes.
+    Returned as a (k, 2) int64 array of (source row, target row), sources
+    ascending.  Scored over the first candidate_cap rows of each set,
+    with csls_k clamped to both set sizes.  The CSLS matrix is symmetric
+    in its two penalty terms, so the backward direction is its transpose
+    and one matrix serves both argmaxes.
     """
     _check_counts(csls_k, candidate_cap)
     xs = as_matrix(x_mapped, "mapped source")[:candidate_cap]
@@ -111,8 +85,7 @@ def mutual_nn_dictionary(
     src = np.flatnonzero(bwd[fwd] == np.arange(ns))
     if src.size == 0:
         raise EmptyResultError("no mutual nearest neighbors; cannot refine")
-    pairs = tuple((int(i), int(fwd[i])) for i in src)
-    return SeedDictionary(pairs=pairs)
+    return np.column_stack((src, fwd[src]))
 
 
 def refine(
@@ -147,5 +120,5 @@ def refine(
         except EmptyResultError:
             return RefineResult(q=q, dictionary_sizes=tuple(sizes), status="empty-dictionary")
         sizes.append(len(d))
-        q = fit_orthogonal(x[d.sources], y[d.targets])
+        q = fit_orthogonal(x[d[:, 0]], y[d[:, 1]])
     return RefineResult(q=q, dictionary_sizes=tuple(sizes), status="completed")

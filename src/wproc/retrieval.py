@@ -93,10 +93,6 @@ class NeighborTable:
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "scores", sc)
 
-    @property
-    def n_queries(self) -> int:
-        return self.indices.shape[0]
-
 
 def _unit_rows(x: np.ndarray, side: str) -> np.ndarray:
     norms = _row_norms(x)
@@ -200,8 +196,8 @@ def _cos_blocks(a: np.ndarray, b: np.ndarray, rows: int | None = None):
 def _target_stats(qn, tn, kind: str, k: int, beta: float) -> np.ndarray:
     """Per-target statistic over every query: CSLS's r_q or ISF's log-sum-exp.
 
-    Walks blocks of _BLOCK_SIZE * n_targets // n_queries target rows
-    (at least two, see _row_blocks) against every query, so a block
+    Walks blocks of _BLOCK_SIZE * nt // nq rows of the nt targets (at
+    least two, see _row_blocks) against all nq queries, so a block
     holds about as many cosines as one score block, and reduces each
     block along its rows in place.
     """

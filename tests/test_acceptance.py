@@ -25,7 +25,7 @@ from wproc.data_io import synth_generate
 from wproc.evaluation import matching_accuracy
 from wproc.linalg import OrthogonalMap, project_orthogonal
 from wproc.procrustes import fit_orthogonal
-from wproc.qap_init import FwConfig, build_grams, extract_q0, fw_solve
+from wproc.qap_init import build_grams, extract_q0, fw_solve
 from wproc.retrieval import RetrievalConfig, retrieve
 from wproc.rng import PortableRng
 from wproc.sinkhorn import sinkhorn_plan
@@ -126,13 +126,13 @@ def test_criterion_04_frank_wolfe_gradient_and_feasibility():
     # k iterations is the k-th iterate of the full run.
     inst = synth_generate(40, 8, 0.1, seed=44)
     grams = build_grams(inst.x.matrix, inst.y.matrix, 40)
-    _, trace = fw_solve(grams, FwConfig(max_iters=60))
+    _, trace = fw_solve(grams, max_iters=60)
     diffs = np.diff(trace)
     assert np.all(diffs <= 1e-12 * trace[0]), "objective trace increased"
 
     worst_feas = 0.0
     for k in range(1, 16):
-        plan, _ = fw_solve(grams, FwConfig(max_iters=k))
+        plan, _ = fw_solve(grams, max_iters=k)
         p = plan.weights * plan.size
         err = max(np.abs(p.sum(axis=0) - 1.0).max(),
                   np.abs(p.sum(axis=1) - 1.0).max())
@@ -200,7 +200,7 @@ def _pipeline_accuracy(sigma, seed):
     m = 500
     band = np.flatnonzero(perm < m)
     grams = build_grams(x[:m], y[band], m)
-    plan, _ = fw_solve(grams, FwConfig(max_iters=300))
+    plan, _ = fw_solve(grams, max_iters=300)
     q0 = extract_q0(x[:m], y[band], plan)
 
     cfg = AlignmentConfig(total_iters=2000, batch_size_initial=512,
@@ -245,7 +245,7 @@ def test_criterion_07_convex_init_beats_random_init():
         y = inst.y.matrix
 
         grams = build_grams(x, y, 300)
-        plan, _ = fw_solve(grams, FwConfig(max_iters=150))
+        plan, _ = fw_solve(grams, max_iters=150)
         q0 = extract_q0(x, y, plan)
         convex.append(matching_accuracy(inst, q0, "exact"))
 
@@ -400,7 +400,7 @@ def test_criterion_11_muse_en_es_benchmark():
     ys = preprocess(tgt.matrix, spec, labels=tgt.labels)
 
     grams = build_grams(xs, ys, 2500)
-    plan, _ = fw_solve(grams, FwConfig(max_iters=300))
+    plan, _ = fw_solve(grams, max_iters=300)
     q0 = extract_q0(xs[:2500], ys[:2500], plan)
     cfg = AlignmentConfig(total_iters=4000, batch_size_initial=500,
                           sample_pool=20000, rng_seed=0)

@@ -455,6 +455,16 @@ def test_exit_config_on_bad_env_threads(tmp_path, monkeypatch):
     assert run("synth", "--n", 5, "--d", 2, "--out", tmp_path / "x") == 3
 
 
+def test_exit_config_on_supervised_loss_csv(inst, tmp_path, capsys):
+    # A supervised fit has no loss history, so the CSV would be dropped.
+    out, csv = tmp_path / "o", tmp_path / "loss.csv"
+    assert run("align", inst["src"], inst["tgt"], "--out", out,
+               "--supervised", inst["lex"], "--loss-csv", csv) == 3
+    err = capsys.readouterr().err
+    assert "--loss-csv" in err and "--supervised" in err
+    assert not out.exists() and not csv.exists()
+
+
 def test_exit_config_on_bad_batch(inst, tmp_path):
     assert run("align", inst["src"], inst["tgt"], "--out", tmp_path / "o",
                "--batch-size", 1) == 3

@@ -17,7 +17,8 @@ SUBMODULES = [import_module(f"wproc.{m.name}")
 # them now live in tests/oracles.py or inline in the tests.
 REMOVED = ("cosine_scores", "csls_scores", "isf_scores", "estimate_objective",
            "plan_to_matching", "transport_cost", "residual", "SinkhornConfig",
-           "default_refine_config", "fw_objective", "fw_gradient")
+           "default_refine_config", "fw_objective", "fw_gradient", "FwConfig",
+           "SeedDictionary")
 
 
 def test_every_submodule_all_name_exists():

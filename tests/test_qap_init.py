@@ -7,7 +7,7 @@ import wproc.qap_init as qap_init
 from wproc.assignment import max_trace_matching, solve_lap
 from wproc.errors import InvalidArgumentError
 from oracles import fw_gradient, fw_objective
-from wproc.qap_init import FwConfig, GramPair, build_grams, extract_q0, fw_solve
+from wproc.qap_init import GramPair, build_grams, extract_q0, fw_solve
 
 
 def random_orthogonal(rng, d):
@@ -83,7 +83,7 @@ def test_iterates_feasible_and_trace_monotone():
     x = rng.standard_normal((20, 6))
     y = rng.standard_normal((20, 6))
     g = build_grams(x, y, 20)
-    plan, trace = fw_solve(g, FwConfig(max_iters=60))
+    plan, trace = fw_solve(g, max_iters=60)
     assert np.all(np.diff(trace) <= 1e-10)
     w = plan.weights * plan.size
     assert np.abs(w.sum(axis=0) - 1.0).max() < 1e-8
@@ -96,7 +96,7 @@ def test_noise_free_recovery():
     rng = np.random.default_rng(4)
     x, y, perm, r = isomorphic_instance(rng, 60, 8)
     g = build_grams(x, y, 60)
-    plan, trace = fw_solve(g, FwConfig(max_iters=120))
+    plan, trace = fw_solve(g, max_iters=120)
     got, _ = solve_lap(-plan.weights)
     # Plan rows couple x indices to y indices; truth maps x row perm[k]
     # to y row k.
@@ -114,10 +114,10 @@ def test_gap_tolerance_stops_early():
     x = rng.standard_normal((15, 4))
     y = rng.standard_normal((15, 4))
     g = build_grams(x, y, 15)
-    loose, _ = fw_solve(g, FwConfig(max_iters=500, gap_tol=1e30))
+    loose, _ = fw_solve(g, max_iters=500, gap_tol=1e30)
     assert loose.converged
     assert loose.iterations <= 1
-    tight, _ = fw_solve(g, FwConfig(max_iters=3, gap_tol=1e-300))
+    tight, _ = fw_solve(g, max_iters=3, gap_tol=1e-300)
     assert not tight.converged
     assert tight.iterations == 3
 
@@ -127,8 +127,8 @@ def test_solve_from_uniform_start_is_deterministic():
     x = rng.standard_normal((12, 3))
     y = rng.standard_normal((12, 3))
     g = build_grams(x, y, 12)
-    p1, t1 = fw_solve(g, FwConfig(max_iters=40))
-    p2, t2 = fw_solve(g, FwConfig(max_iters=40))
+    p1, t1 = fw_solve(g, max_iters=40)
+    p2, t2 = fw_solve(g, max_iters=40)
     assert np.array_equal(p1.weights, p2.weights)
     assert t1 == t2
 
@@ -148,11 +148,12 @@ def test_extract_q0_rejects_uniform_plan():
         extract_q0(x, y, plan)
 
 
-def test_config_validation():
-    with pytest.raises(InvalidArgumentError):
-        FwConfig(max_iters=0)
-    with pytest.raises(InvalidArgumentError):
-        FwConfig(gap_tol=-1.0)
+def test_fw_solve_validates_its_settings():
+    g = build_grams(np.eye(3), np.eye(3), 3)
+    with pytest.raises(InvalidArgumentError, match="max_iters"):
+        fw_solve(g, max_iters=0)
+    with pytest.raises(InvalidArgumentError, match="gap_tol"):
+        fw_solve(g, gap_tol=-1.0)
 
 
 def test_vertices_minimize_the_raw_gradient(monkeypatch):
@@ -174,7 +175,7 @@ def test_vertices_minimize_the_raw_gradient(monkeypatch):
     p = np.full((m, m), 1.0 / m)
     for k in range(1, 9):
         picked.clear()
-        plan, _ = fw_solve(g, FwConfig(max_iters=k, gap_tol=1e-300))
+        plan, _ = fw_solve(g, max_iters=k, gap_tol=1e-300)
         assert len(picked) == k
         want, _ = solve_lap(fw_gradient(g, p))
         assert picked[-1] == want.mapping.tolist()

@@ -8,7 +8,7 @@ import wproc.retrieval as retrieval_mod
 from oracles import csls_scores, unit
 from wproc.errors import EmptyResultError, InvalidArgumentError
 from wproc.linalg import OrthogonalMap, project_orthogonal
-from wproc.refine import RefineResult, SeedDictionary, mutual_nn_dictionary, refine
+from wproc.refine import RefineResult, mutual_nn_dictionary, refine
 
 
 def random_orthogonal(rng, d):
@@ -19,22 +19,26 @@ def random_orthogonal(rng, d):
 def mutual_pairs(s):
     fwd = s.argmax(axis=1)
     bwd = s.argmax(axis=0)
-    return [(i, int(fwd[i])) for i in range(len(fwd)) if bwd[fwd[i]] == i]
+    return [[i, int(fwd[i])] for i in range(len(fwd)) if bwd[fwd[i]] == i]
 
 
 def naive_mutual_pairs(xs, ys, k):
     return mutual_pairs(csls_scores(xs, ys, k))
 
 
-def test_seed_dictionary_validation():
-    d = SeedDictionary(pairs=((0, 2), (3, 1)))
-    assert len(d) == 2
-    assert d.sources.tolist() == [0, 3]
-    assert d.targets.tolist() == [2, 1]
-    with pytest.raises(InvalidArgumentError):
-        SeedDictionary(pairs=((0, 1), (0, 2)))  # duplicate source
-    with pytest.raises(InvalidArgumentError):
-        SeedDictionary(pairs=((-1, 0),))
+def test_mutual_dictionary_is_an_index_array(monkeypatch):
+    # (source row, target row) pairs: unique ascending sources, and both
+    # sides inside the candidate cap.
+    monkeypatch.setattr(retrieval_mod, "_BLOCK_SIZE", 9)
+    rng = np.random.default_rng(9)
+    xs = unit(rng.standard_normal((50, 4)))
+    ys = unit(rng.standard_normal((45, 4)))
+    d = mutual_nn_dictionary(xs, ys, csls_k=3, candidate_cap=30)
+    assert d.dtype == np.int64
+    assert d.ndim == 2 and d.shape[1] == 2 and len(d) == d.shape[0] > 1
+    assert np.all(np.diff(d[:, 0]) > 0)
+    assert d.min() >= 0
+    assert d.max() < 30
 
 
 def test_mutual_dictionary_matches_naive_full_matrix(monkeypatch):
@@ -43,7 +47,7 @@ def test_mutual_dictionary_matches_naive_full_matrix(monkeypatch):
     xs = unit(rng.standard_normal((60, 8)))
     ys = unit(rng.standard_normal((45, 8)))
     d = mutual_nn_dictionary(xs, ys, csls_k=5)
-    assert sorted(d.pairs) == sorted(naive_mutual_pairs(xs, ys, 5))
+    assert d.tolist() == naive_mutual_pairs(xs, ys, 5)
 
 
 def test_mutual_dictionary_on_shared_points():
@@ -56,7 +60,7 @@ def test_mutual_dictionary_on_shared_points():
     d = mutual_nn_dictionary(xs, ys, csls_k=3)
     assert len(d) == 30
     inv = np.argsort(order)
-    for i, j in d.pairs:
+    for i, j in d:
         assert j == inv[i]
 
 
@@ -65,9 +69,9 @@ def test_candidate_cap_restricts_both_sides():
     xs = unit(rng.standard_normal((40, 5)))
     ys = unit(rng.standard_normal((40, 5)))
     d = mutual_nn_dictionary(xs, ys, csls_k=3, candidate_cap=12)
-    assert d.sources.max() < 12
-    assert d.targets.max() < 12
-    assert sorted(d.pairs) == sorted(naive_mutual_pairs(xs[:12], ys[:12], 3))
+    assert d[:, 0].max() < 12
+    assert d[:, 1].max() < 12
+    assert d.tolist() == naive_mutual_pairs(xs[:12], ys[:12], 3)
 
 
 def test_csls_k_is_clamped_to_set_sizes(monkeypatch):
@@ -79,7 +83,7 @@ def test_csls_k_is_clamped_to_set_sizes(monkeypatch):
     xs = unit(rng.standard_normal((6, 4)))
     ys = unit(rng.standard_normal((8, 4)))
     d = mutual_nn_dictionary(xs, ys, csls_k=10)
-    assert sorted(d.pairs) == sorted(naive_mutual_pairs(xs, ys, 6))
+    assert d.tolist() == naive_mutual_pairs(xs, ys, 6)
 
 
 def test_duplicate_sources_across_blocks_pair_lowest_index(monkeypatch):
@@ -90,9 +94,9 @@ def test_duplicate_sources_across_blocks_pair_lowest_index(monkeypatch):
     xs = base[[0, 1, 2, 3, 1, 4]]
     monkeypatch.setattr(retrieval_mod, "_BLOCK_SIZE", 2)
     d = mutual_nn_dictionary(xs, base, csls_k=2)
-    assert (1, 1) in d.pairs
-    assert 4 not in d.sources.tolist()
-    assert sorted(d.pairs) == sorted(naive_mutual_pairs(xs, base, 2))
+    assert [1, 1] in d.tolist()
+    assert 4 not in d[:, 0].tolist()
+    assert d.tolist() == naive_mutual_pairs(xs, base, 2)
 
 
 def test_duplicate_sources_within_a_block_pair_lowest_index(monkeypatch):
@@ -103,9 +107,9 @@ def test_duplicate_sources_within_a_block_pair_lowest_index(monkeypatch):
     xs = base[[0, 1, 1, 2, 3, 4]]
     monkeypatch.setattr(retrieval_mod, "_BLOCK_SIZE", 4)
     d = mutual_nn_dictionary(xs, base, csls_k=2)
-    assert (1, 1) in d.pairs
-    assert 2 not in d.sources.tolist()
-    assert sorted(d.pairs) == sorted(naive_mutual_pairs(xs, base, 2))
+    assert [1, 1] in d.tolist()
+    assert 2 not in d[:, 0].tolist()
+    assert d.tolist() == naive_mutual_pairs(xs, base, 2)
 
 
 def test_duplicate_sources_across_chunks_pair_lowest_index(monkeypatch):
@@ -117,9 +121,9 @@ def test_duplicate_sources_across_chunks_pair_lowest_index(monkeypatch):
     monkeypatch.setattr(retrieval_mod, "_BLOCK_SIZE", 4)
     monkeypatch.setattr(retrieval_mod, "_CHUNK", 3)
     d = mutual_nn_dictionary(xs, base, csls_k=2)
-    assert (2, 2) in d.pairs
-    assert 3 not in d.sources.tolist()
-    assert sorted(d.pairs) == sorted(naive_mutual_pairs(xs, base, 2))
+    assert [2, 2] in d.tolist()
+    assert 3 not in d[:, 0].tolist()
+    assert d.tolist() == naive_mutual_pairs(xs, base, 2)
 
 
 def test_mutual_dictionary_chunks_keep_the_pairs_of_whole_blocks(monkeypatch):
@@ -131,7 +135,7 @@ def test_mutual_dictionary_chunks_keep_the_pairs_of_whole_blocks(monkeypatch):
     pairs = []
     for chunk in (7, 3, 2, 1):
         monkeypatch.setattr(retrieval_mod, "_CHUNK", chunk)
-        pairs.append(mutual_nn_dictionary(xs, ys, csls_k=3).pairs)
+        pairs.append(mutual_nn_dictionary(xs, ys, csls_k=3).tolist())
     assert len(pairs[0]) > 0 and len(set(map(tuple, xs))) < len(xs)
     assert all(p == pairs[0] for p in pairs)
 

@@ -212,7 +212,9 @@ def tied_unit_rows(rng, n, d):
 @pytest.mark.parametrize("kind", ["nn", "csls", "isf"])
 def test_chunks_keep_the_bits_of_whole_blocks(monkeypatch, kind):
     # A chunk as tall as the block is the scorer without chunks: r_t
-    # from a copy of the whole block, top-k over the whole block.
+    # from a copy of the whole block, top-k over the whole block.  The
+    # argmax fork of topk=1 must also keep the column the general path
+    # ranks first.
     monkeypatch.setattr(retrieval_mod, "_BLOCK_SIZE", 7)
     rng = np.random.default_rng(10)
     q = tied_unit_rows(rng, 40, 4)
@@ -222,10 +224,14 @@ def test_chunks_keep_the_bits_of_whole_blocks(monkeypatch, kind):
     def tables(chunk):
         monkeypatch.setattr(retrieval_mod, "_CHUNK", chunk)
         return [retrieve(q, t, cfg, topk=topk, rows=rows)
-                for topk in (1, 4) for rows in (None, 11)]
+                for topk in (1, 2, 4) for rows in (None, 11)]
 
     whole = tables(7)
-    assert np.any(np.diff(whole[2].scores, axis=1) == 0)  # ties in the top 4
+    assert np.any(np.diff(whole[4].scores, axis=1) == 0)  # ties in the top 4
+    top1, top2 = whole[0], whole[2]
+    assert np.any(top2.scores[:, 0] == top2.scores[:, 1])
+    assert np.array_equal(top1.indices, top2.indices[:, :1])
+    assert top1.scores.tobytes() == top2.scores[:, :1].tobytes()
     for chunk in (3, 2, 1, 64):
         for got, want in zip(tables(chunk), whole):
             assert np.array_equal(got.indices, want.indices)
@@ -275,7 +281,7 @@ def test_top_k_ties_at_the_boundary_match_stable_sort():
     for _ in range(200):
         n = int(rng.integers(3, 24))
         s = rng.integers(-2, 3, size=(int(rng.integers(1, 16)), n)).astype(float)
-        for topk in (2, n - 1, n):
+        for topk in (1, 2, n - 1, n):
             want = np.argsort(-s, axis=1, kind="stable")[:, :topk]
             idx, val = _select_top(s.copy(), topk)
             assert np.array_equal(idx, want)
