@@ -70,17 +70,22 @@ class AlignmentState:
 
     loss_history holds (iteration, batch loss) pairs where the loss is
     ||X Q - P Y||_F^2 / b on that step's batch, an estimate of the
-    population transport objective.  plans_nonconverged counts the
-    Sinkhorn plans so far that missed the marginal tolerance, and
-    worst_marginal_error is the largest marginal error among all of
-    them (0.0 while every step used the exact assignment).  Such a plan
-    is still used for its step: the run warns and counts, it does not
-    stop.
+    population transport objective.  plans counts the Sinkhorn plans so
+    far, plan_iterations their iterations summed, and plans_handed_off
+    those whose linear loop missed and handed over to the Newton finish.
+    plans_nonconverged counts the plans that missed the marginal
+    tolerance, and worst_marginal_error is the largest marginal error
+    among all of them (0.0 while every step used the exact assignment).
+    Such a plan is still used for its step: the run warns and counts, it
+    does not stop.
     """
 
     q: OrthogonalMap
     iteration: int
     loss_history: tuple = ()
+    plans: int = 0
+    plan_iterations: int = 0
+    plans_handed_off: int = 0
     plans_nonconverged: int = 0
     worst_marginal_error: float = 0.0
 
@@ -119,7 +124,7 @@ def align_step(
         )
     xq = x @ state.q.q
     matcher = _resolve_matcher(cfg.matcher, b)
-    missed, worst = state.plans_nonconverged, state.worst_marginal_error
+    plan_counts = {}
     if matcher == "hungarian":
         # minimizing sum ||x_i Q - y_match(i)||^2 = maximizing the trace
         # of the score form, since the norms do not depend on the match
@@ -130,8 +135,13 @@ def align_step(
         # scale the mass-1 plan to row sums 1 so it plays the role of
         # a (soft) permutation matrix
         matched = (b * plan.weights) @ y
-        missed += not plan.converged
-        worst = max(worst, plan.marginal_error)
+        plan_counts = dict(
+            plans=state.plans + 1,
+            plan_iterations=state.plan_iterations + plan.iterations,
+            plans_handed_off=state.plans_handed_off + plan.handed_off,
+            plans_nonconverged=state.plans_nonconverged + (not plan.converged),
+            worst_marginal_error=max(state.worst_marginal_error, plan.marginal_error),
+        )
     diff = xq - matched
     loss = float((diff * diff).sum()) / b
     grad = -2.0 * (x.T @ matched)
@@ -143,12 +153,12 @@ def align_step(
             f"update at iteration {state.iteration + 1} is rank deficient: {exc}"
         ) from exc
     it = state.iteration + 1
-    return AlignmentState(
+    return replace(
+        state,
         q=q_next,
         iteration=it,
         loss_history=state.loss_history + ((it, loss),),
-        plans_nonconverged=missed,
-        worst_marginal_error=worst,
+        **plan_counts,
     )
 
 

@@ -275,8 +275,10 @@ def cmd_align(args, run) -> int:
         print(f"warning: {missed} Sinkhorn plans missed the marginal tolerance; "
               "their steps used them anyway", file=sys.stderr)
     print(f"wrote {args.out} ({state.iteration} iterations, "
-          f"final batch loss {final_loss:.6g}, {missed} Sinkhorn plans missed "
-          f"tolerance, worst marginal error {state.worst_marginal_error:.3g})")
+          f"final batch loss {final_loss:.6g}, {state.plans} Sinkhorn plans in "
+          f"{state.plan_iterations} iterations, {state.plans_handed_off} handed to "
+          f"Newton, {missed} Sinkhorn plans missed tolerance, worst marginal error "
+          f"{state.worst_marginal_error:.3g})")
     return EXIT_OK
 
 

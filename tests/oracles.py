@@ -5,7 +5,9 @@ dense scorers here are its oracles, and `retrieved_scores` reads its
 full score matrices back.  `nearest_rows` is the dense oracle of the
 blocked nearest-neighbour matching behind `matching_accuracy`.  The
 Frank-Wolfe objective and gradient are the oracles of `fw_solve`, which
-tracks them incrementally.  `permutation_matrix` is the dense 0/1 form
+tracks them incrementally.  `plain_sinkhorn` is the unrelaxed scaling
+loop that the Sinkhorn solver's warm-up sweeps must reproduce bit for
+bit.  `permutation_matrix` is the dense 0/1 form
 of a `Permutation`, which the library never builds.
 """
 
@@ -76,3 +78,19 @@ def fw_gradient(g, p):
     """Gradient of f: 2 (Kx (Kx P - P Ky) - (Kx P - P Ky) Ky)."""
     r = g.kx @ p - p @ g.ky
     return 2.0 * (g.kx @ r - r @ g.ky)
+
+
+def plain_sinkhorn(cost, eps, tol, max_sweeps):
+    """Plain Sinkhorn-Knopp scaling: (plan, sweeps) once every column sum
+    is within tol of 1/b (the rows are exact after each u update), or
+    None after max_sweeps."""
+    b = cost.shape[0]
+    target = 1.0 / b
+    kernel = np.exp(-(cost - cost.min()) / eps)
+    u = np.full(b, 1.0 / b)
+    for sweep in range(1, max_sweeps + 1):
+        v = target / (kernel.T @ u)
+        u = target / (kernel @ v)
+        if np.abs(v * (kernel.T @ u) - target).max() <= tol:
+            return u[:, None] * kernel * v[None, :], sweep
+    return None

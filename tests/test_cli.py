@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import wproc
+import wproc.aligner as aligner_mod
 import wproc.refine as refine_mod
 import wproc.retrieval as retrieval_mod
 import wproc.sinkhorn as sinkhorn_mod
@@ -244,6 +245,29 @@ def test_align_reports_plans_that_miss_tolerance(inst, tmp_path, capsys,
     worst = float(line.split("worst marginal error ")[1].rstrip(")"))
     assert (worst > 1e-6) if missed else (worst == 0.0)
     assert ("warning: 4 Sinkhorn plans missed" in shown.err) == bool(missed)
+
+
+@pytest.mark.parametrize("max_iters, handed", [(100, 0), (1, 4)])
+def test_align_reports_sinkhorn_counts(inst, tmp_path, capsys, monkeypatch,
+                                       max_iters, handed):
+    # At _MAX_ITERS = 1 every linear loop misses and hands off to Newton.
+    monkeypatch.setattr(sinkhorn_mod, "_MAX_ITERS", max_iters)
+    plans = []
+    solve = aligner_mod.sinkhorn_plan
+
+    def spy(cost, eps=None):
+        plans.append(solve(cost, eps))
+        return plans[-1]
+
+    monkeypatch.setattr(aligner_mod, "sinkhorn_plan", spy)
+    assert run("align", inst["src"], inst["tgt"], "--out", tmp_path / "q.map",
+               "--init", "random", "--iters", 4, "--batch-size", 20,
+               "--no-batch-doubling", "--matcher", "sinkhorn") == 0
+    line = capsys.readouterr().out.strip()
+    assert len(plans) == 4
+    assert sum(p.handed_off for p in plans) == handed
+    iters = sum(p.iterations for p in plans)
+    assert f", 4 Sinkhorn plans in {iters} iterations, {handed} handed to Newton, " in line
 
 
 def test_plot_emits_all_points(inst, tmp_path):

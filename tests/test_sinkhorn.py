@@ -8,6 +8,8 @@ from wproc.assignment import solve_lap
 from wproc.errors import InvalidArgumentError
 from wproc.sinkhorn import TransportPlan, sinkhorn_plan
 
+from oracles import plain_sinkhorn
+
 
 def random_cost(rng, b, scale=10.0):
     x = rng.standard_normal((b, 4))
@@ -173,6 +175,70 @@ def test_linear_miss_hands_its_potentials_to_newton(monkeypatch):
     # Both plans meet the marginal tolerance of the same problem, and no
     # entry (each near 1/b = 1.7e-3) differs by more than that tolerance.
     assert np.abs(plan.weights - cold.weights).max() <= sinkhorn._TOL_MARGINAL
+
+
+def late_batch_cost(seed, n=2000, b=600, d=300, noise=0.7):
+    # Squared distances between two independent b-row batches of unit
+    # rows, about a third of them noisy copies of each other: the plan of
+    # a late bli-d300 aligner step (row minima 0.3-1.4, median 2).
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d)) * (1.0 + np.arange(d)) ** -0.5
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    y = x + noise / np.sqrt(d) * rng.standard_normal((n, d))
+    y /= np.linalg.norm(y, axis=1)[:, None]
+    xb = x[rng.choice(n, b, replace=False)]
+    yb = y[rng.choice(n, b, replace=False)]
+    return np.maximum(2.0 - 2.0 * (xb @ yb.T), 0.0)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_warm_up_sweeps_keep_the_plain_loop_bytes(seed):
+    cost = random_cost(np.random.default_rng(seed), 40)
+    eps = 0.5 * float(np.median(cost))
+    plan = sinkhorn_plan(cost, eps)
+    assert plan.iterations <= sinkhorn._SOR_WARMUP
+    weights, sweeps = plain_sinkhorn(cost, eps, sinkhorn._TOL_MARGINAL,
+                                     sinkhorn._SOR_WARMUP)
+    assert plan.iterations == sweeps
+    assert plan.weights.tobytes() == weights.tobytes()
+
+
+def test_over_relaxed_late_plan_converges_in_the_linear_loop(monkeypatch):
+    # The plain loop misses the tolerance on this cost after all
+    # _MAX_ITERS sweeps and needs a Newton step; the over-relaxed sweeps
+    # meet it on their own.
+    def must_not_run(*args):
+        raise AssertionError("the linear loop handed off")
+
+    monkeypatch.setattr(sinkhorn, "_newton_step", must_not_run)
+    monkeypatch.setattr(sinkhorn, "_sinkhorn_log", must_not_run)
+    plan = sinkhorn_plan(late_batch_cost(1))
+    assert plan.converged
+    assert plan.marginal_error <= sinkhorn._TOL_MARGINAL
+    assert plan.iterations < sinkhorn._MAX_ITERS
+
+
+@pytest.mark.parametrize("omega, cold", [(1.99, False), (3.0, True)])
+def test_a_bad_relaxation_falls_back_to_a_converged_plan(monkeypatch, omega, cold):
+    # omega 1.99 stalls the loop, which hands its potentials to Newton;
+    # omega 3 makes the scalings overflow, which starts over in the log
+    # domain.  Either way the plan meets the tolerance.
+    monkeypatch.setattr(sinkhorn, "_SOR_OMEGA", omega)
+    starts = []
+    log_solver = sinkhorn._sinkhorn_log
+
+    def spy(cost, eps, warm=None):
+        starts.append(warm is None)
+        return log_solver(cost, eps, warm)
+
+    monkeypatch.setattr(sinkhorn, "_sinkhorn_log", spy)
+    plan = sinkhorn_plan(late_batch_cost(1))
+    assert starts == [cold]
+    assert plan.converged
+    assert plan.marginal_error <= sinkhorn._TOL_MARGINAL
+    target = 1.0 / plan.size
+    assert np.abs(plan.weights.sum(axis=0) - target).max() <= sinkhorn._TOL_MARGINAL
+    assert np.abs(plan.weights.sum(axis=1) - target).max() <= sinkhorn._TOL_MARGINAL
 
 
 def test_underflowing_kernel_starts_over_cold(monkeypatch):
