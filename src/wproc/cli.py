@@ -132,6 +132,15 @@ def _at_least_one(value, flag: str):
         raise InvalidArgumentError(f"{flag} must be at least 1, got {value}")
 
 
+def _check_fw_flags(args):
+    """The Frank-Wolfe flags, checked before any input is read."""
+    _at_least_one(args.fw_size, "--fw-size")
+    _at_least_one(args.fw_iters, "--fw-iters")
+    if args.fw_gap_tol is not None and not args.fw_gap_tol > 0.0:
+        raise InvalidArgumentError(
+            f"--fw-gap-tol must be positive, got {args.fw_gap_tol}")
+
+
 def _int_list(text: str, flag: str) -> list:
     try:
         return [int(v) for v in text.split(",")]
@@ -194,6 +203,7 @@ def _run_convex_init(args, xs, ys):
 def cmd_init(args, run) -> int:
     from .data_io import save_map
 
+    _check_fw_flags(args)
     with run.phase("load"):
         src, tgt = _load_pair(args)
     with run.phase("solve"):
@@ -230,6 +240,13 @@ def cmd_align(args, run) -> int:
 
     if args.supervised and args.loss_csv:
         raise ConfigError("--loss-csv has no loss to write under --supervised")
+    if not args.supervised:
+        _at_least_one(args.iters, "--iters")
+        if args.batch_size < 2:
+            raise InvalidArgumentError(
+                f"--batch-size must be at least 2, got {args.batch_size}")
+        if args.init == "convex":
+            _check_fw_flags(args)
     with run.phase("load"):
         src, tgt = _load_pair(args)
     xs, ys = src.matrix, tgt.matrix

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assignment import max_trace_matching
+from .assignment import max_trace_matching, reduced_cost
 from .errors import InvalidArgumentError
 from .linalg import OrthogonalMap, as_matrix
 from .procrustes import fit_orthogonal
@@ -77,47 +77,6 @@ def build_grams(x, y, m: int) -> GramPair:
     return GramPair(x[:m], y[:m])
 
 
-# The Frank-Wolfe oracle's dual potentials come from _DUAL_SWEEPS scaling
-# sweeps at epsilon = span(cost) / _DUAL_SPAN.  A larger ratio gives
-# sharper potentials and a faster exact solve; at most 300 keeps every
-# number in _reduced_cost normal and finite (see there).  Chosen on FW
-# gradients at m=400 (bli-d300) and m=2500 (paper scale): 20 and 30
-# sweeps tie at m=400, and 30 solves fastest at m=2500.
-_DUAL_SPAN = 300.0
-_DUAL_SWEEPS = 30
-
-
-def _reduced_cost(cost: np.ndarray) -> np.ndarray:
-    """cost - f[:, None] - g[None, :] for entropic dual potentials f, g.
-
-    Every permutation's total moves by the same sum(f) + sum(g), so the
-    reduced cost has the same optimal assignments as cost.  Any finite
-    potentials keep that; the closer they are to the optimal duals, the
-    less work is left to an exact solver.  A cost with span 0 comes back
-    unchanged.
-    """
-    cmin = cost.min()
-    span = cost.max() - cmin
-    if not span > 0.0:
-        return cost
-    eps = span / _DUAL_SPAN
-    # With K = _DUAL_SPAN, kernel entries lie in [e^-K, 1].  Keeping
-    # max v = 1 (v starts at 1) bounds every sweep: each row sum of
-    # kernel * v is in [e^-K, m], so u is in [1/m, e^K]; two column sums
-    # of kernel * u differ by at most a factor e^K, so the rescaled v is
-    # in [e^-K, 1].  No product falls below e^-2K = e^-600, far above
-    # the smallest normal float64 (about e^-708), and none exceeds m e^K.
-    kernel = np.exp(-(cost - cmin) / eps)
-    v = np.ones(cost.shape[1])
-    for _ in range(_DUAL_SWEEPS):
-        u = 1.0 / (kernel @ v)
-        v = 1.0 / (kernel.T @ u)
-        v /= v.max()
-    f = eps * np.log(u) + cmin
-    g = eps * np.log(v)
-    return cost - f[:, None] - g[None, :]
-
-
 def fw_solve(g: GramPair, max_iters: int = 300, gap_tol: float | None = None):
     """Minimize the relaxation over doubly stochastic matrices.
 
@@ -126,9 +85,16 @@ def fw_solve(g: GramPair, max_iters: int = 300, gap_tol: float | None = None):
     gradient as cost), then moves by the closed-form optimal step of the
     quadratic along the segment, clipped to [0, 1].  Terminates when the
     duality gap <grad, P - S> drops below gap_tol, or after max_iters
-    iterations.  The assignment is solved on the gradient minus entropic
-    dual potentials, which has the same optimal vertices and solves
-    several times faster.
+    iterations.
+
+    The gradient is linear in P, so it moves along each segment like P
+    does, and one Gram product per iteration updates it; Kx^2 and Ky^2
+    are formed once.  The assignment is solved on the gradient minus
+    entropic dual potentials (``reduced_cost``), which has the same
+    optimal vertices and solves several times faster; after the first
+    iteration those potentials start from the previous iteration's.  P
+    itself is kept as a weight on the uniform coupling and one per
+    vertex, and built once at the end.
 
     gap_tol = None resolves to 1e-6 times the initial objective; the
     relaxation converges slowly near the boundary and the output only
@@ -145,19 +111,28 @@ def fw_solve(g: GramPair, max_iters: int = 300, gap_tol: float | None = None):
     if gap_tol is not None and not gap_tol > 0.0:
         raise InvalidArgumentError("gap_tol must be positive")
     m = g.size
-    p = np.full((m, m), 1.0 / m)
+    kx, ky = g.kx, g.ky
+    kx2, ky2 = _gram(kx), _gram(ky)
+    # At the uniform P = J/m, Kx P and P Ky hold the Grams' row and column
+    # sums, and Kx P Ky = (Kx 1)(1' Ky) / m.
+    rx, cy = kx.sum(axis=1), ky.sum(axis=0)
     # R = Kx P - P Ky is maintained incrementally: the line segment is
     # linear in P, so R moves by gamma * T per step with no extra products.
-    r = g.kx @ p - p @ g.ky
-    f0 = float((r * r).sum())
+    r = (rx[:, None] - cy[None, :]) / m
+    # grad = 2 (Kx^2 P - 2 Kx P Ky + P Ky^2)
+    grad = 2.0 * (kx2.sum(axis=1)[:, None] - 2.0 * np.outer(rx, cy)
+                  + ky2.sum(axis=0)[None, :]) / m
+    f = float(np.vdot(r, r))
     if gap_tol is None:
-        gap_tol = 1e-6 * f0
-    trace = [f0]
+        gap_tol = 1e-6 * f
+    trace = [f]
     rows = np.arange(m)
+    # P = uniform * J/m + sum_k weights[k] * S_k over the vertices S_k.
+    uniform, weights, verts = 1.0, np.empty(0), []
+    pot = None
     iters = 0
     converged = False
-    for _ in range(max_iters):
-        grad = 2.0 * (g.kx @ r - r @ g.ky)
+    while True:
         # Subtracting row and column potentials moves every permutation's
         # total by one constant, so the optimal vertex is unchanged.  The
         # entropic potentials sit close to the assignment's optimal duals,
@@ -165,31 +140,58 @@ def fw_solve(g: GramPair, max_iters: int = 300, gap_tol: float | None = None):
         # short paths left to walk on these crowded gradients, where its
         # own column reduction leaves long ones.  Everything below still
         # reads the raw gradient.
-        vertex = max_trace_matching(-_reduced_cost(grad))
-        # <grad, S> for a permutation vertex is a gather, not a product.
-        grad_s = float(grad[rows, vertex.mapping].sum())
-        gap = float((grad * p).sum()) - grad_s
+        reduced, pot = reduced_cost(grad, pot)
+        vertex = max_trace_matching(np.negative(reduced, out=reduced))
+        del reduced
+        vert = vertex.mapping
+        # <grad, S> for a permutation vertex is a gather, not a product,
+        # and <grad, P> = 2 <Kx R - R Ky, P> = 2 <R, Kx P - P Ky> = 2f for
+        # the symmetric Grams.
+        gap = 2.0 * f - float(grad[rows, vert].sum())
         if gap <= gap_tol:
             converged = True
             break
         # T = Kx D - D Ky for D = S - P; the S terms are permutations of
-        # the Gram rows/columns, so T costs O(m^2) given R.
+        # the Gram rows/columns, so T costs O(m^2) given R.  A column
+        # gather of a symmetric Gram is the transpose of a row gather.
         inv = vertex.inverse().mapping
-        t = (g.kx[:, inv] - g.ky[vertex.mapping, :]) - r
-        tt = float((t * t).sum())
+        kx_s = kx[inv].T  # Kx S
+        t = kx_s - ky[vert]
+        t -= r
+        tt = float(np.vdot(t, t))
         # The gap is positive here.  On a flat segment (||T||^2 = 0) every
         # step keeps f, so the step goes to the vertex.
         gamma = min(1.0, gap / (2.0 * tt)) if tt > 0.0 else 1.0
-        d = np.negative(p)
-        d[rows, vertex.mapping] += 1.0
-        p += gamma * d
-        r += gamma * t
+        t *= gamma
+        r += t
+        uniform *= 1.0 - gamma
+        weights = np.append(weights * (1.0 - gamma), gamma)
+        verts.append(vert)
         iters += 1
-        trace.append(float((r * r).sum()))
+        f = float(np.vdot(r, r))
+        trace.append(f)
+        if iters == max_iters:
+            break
+        # grad <- (1 - gamma) grad + gamma grad(S), with
+        # grad(S) = 2 (Kx^2 S - 2 Kx S Ky + S Ky^2), built in T's array.
+        # Like the reduced cost, T and Kx S are freed before the next
+        # oracle call, so no more m x m arrays are held than P took.
+        np.matmul(kx_s, ky, out=t)
+        t *= -2.0
+        t += kx2[inv].T
+        t += ky2[vert]
+        t *= 2.0 * gamma
+        grad *= 1.0 - gamma
+        grad += t
+        del t, kx_s
+    p = np.full((m, m), uniform / m)
+    for vert, w in zip(verts, weights):
+        p[rows, vert] += w
     err_row = np.abs(p.sum(axis=1) - 1.0).max()
     err_col = np.abs(p.sum(axis=0) - 1.0).max()
+    p /= m
     plan = TransportPlan(
-        weights=p / m,
+        weights=p,
         converged=converged,
         marginal_error=float(max(err_row, err_col)) / m,
         iterations=iters,

@@ -107,7 +107,13 @@ def _resolve_epsilon(cost: np.ndarray, epsilon: float | None) -> float:
         if not epsilon > 0.0:
             raise InvalidArgumentError("epsilon must be positive")
         return float(epsilon)
-    med = float(np.median(cost))
+    # np.median's bits from one partition: the upper middle entry, and for
+    # an even count the mean of it and the largest entry below it.
+    half = cost.size // 2
+    flat = np.partition(cost, half, axis=None)
+    med = float(flat[half])
+    if cost.size % 2 == 0:
+        med = (float(flat[:half].max()) + med) / 2.0
     if not med > 0.0:
         raise InvalidArgumentError(
             "adaptive epsilon needs a positive median cost; pass epsilon explicitly"
@@ -120,6 +126,13 @@ def _marginal_error(plan: np.ndarray) -> float:
     row = np.abs(plan.sum(axis=1) - target).max()
     col = np.abs(plan.sum(axis=0) - target).max()
     return float(max(row, col))
+
+
+def _gibbs_kernel(cost: np.ndarray, cmin, eps: float) -> np.ndarray:
+    """exp(-(cost - cmin) / eps), built in one b x b array."""
+    kernel = cost - cmin
+    kernel /= -eps
+    return np.exp(kernel, out=kernel)
 
 
 def _sinkhorn_linear(cost: np.ndarray, eps: float) -> TransportPlan | None:
@@ -144,7 +157,7 @@ def _sinkhorn_linear(cost: np.ndarray, eps: float) -> TransportPlan | None:
     b = cost.shape[0]
     target = 1.0 / b
     cmin = cost.min()
-    kernel = np.exp(-(cost - cmin) / eps)
+    kernel = _gibbs_kernel(cost, cmin, eps)
     u = np.full(b, 1.0 / b)
     ku = kernel.T @ u
     # An over-relaxed update can overflow or divide by zero on its way
@@ -183,19 +196,31 @@ def _sinkhorn_linear(cost: np.ndarray, eps: float) -> TransportPlan | None:
     return _sinkhorn_log(cost, eps, (f, g, _MAX_ITERS))
 
 
+def _log_exponent(scaled: np.ndarray, f: np.ndarray, g: np.ndarray, eps: float):
+    """scaled + f[:, None] / eps + g[None, :] / eps, in one b x b array."""
+    out = scaled + (f / eps)[:, None]
+    out += (g / eps)[None, :]
+    return out
+
+
 def _log_marginals(scaled: np.ndarray, f: np.ndarray, g: np.ndarray, eps: float):
-    plan = np.exp(scaled + f[:, None] / eps + g[None, :] / eps)
+    plan = _log_exponent(scaled, f, g, eps)
+    np.exp(plan, out=plan)
     return plan, _marginal_error(plan)
 
 
 def _lse_rows(m: np.ndarray) -> np.ndarray:
     mx = m.max(axis=1)
-    return mx + np.log(np.exp(m - mx[:, None]).sum(axis=1))
+    shifted = m - mx[:, None]
+    np.exp(shifted, out=shifted)
+    return mx + np.log(shifted.sum(axis=1))
 
 
 def _lse_cols(m: np.ndarray) -> np.ndarray:
     mx = m.max(axis=0)
-    return mx + np.log(np.exp(m - mx[None, :]).sum(axis=0))
+    shifted = m - mx[None, :]
+    np.exp(shifted, out=shifted)
+    return mx + np.log(shifted.sum(axis=0))
 
 
 def _sinkhorn_log(cost: np.ndarray, eps: float, warm=None) -> TransportPlan:
@@ -276,10 +301,9 @@ def _newton_step(sc, f, g, eps, log_target):
     b = g.shape[0]
     target = 1.0 / b
     f = eps * (log_target - _lse_rows(sc + g[None, :] / eps))
-    plan = np.exp(sc + f[:, None] / eps + g[None, :] / eps)
+    plan, base = _log_marginals(sc, f, g, eps)
     row = plan.sum(axis=1)
     col = plan.sum(axis=0)
-    base = _marginal_error(plan)
     grad = target - col
     # hess = (diag(col) - P.T diag(1/row) P) / eps, built in the one b x b
     # array the product returns.
@@ -294,6 +318,9 @@ def _newton_step(sc, f, g, eps, log_target):
         delta = np.linalg.solve(hess[:k, :k], grad[:k])
     except np.linalg.LinAlgError:
         return False, f, g, plan, base
+    # The line search builds b x b candidates; the Hessian is not needed
+    # beside them.
+    del hess, diag
     if not np.all(np.isfinite(delta)):
         return False, f, g, plan, base
     step = 1.0
@@ -304,8 +331,9 @@ def _newton_step(sc, f, g, eps, log_target):
         # Row-feasible potentials bound every entry by 1/b, so positive
         # exponents are pure roundoff from an oversized step; clipping
         # only prevents overflow on candidates headed for rejection.
-        expo = np.minimum(sc + fc[:, None] / eps + cand[None, :] / eps, 0.0)
-        pc = np.exp(expo)
+        pc = _log_exponent(sc, fc, cand, eps)
+        np.minimum(pc, 0.0, out=pc)
+        np.exp(pc, out=pc)
         err = _marginal_error(pc)
         if err < base:
             return True, fc, cand, pc, err

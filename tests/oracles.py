@@ -7,8 +7,10 @@ blocked nearest-neighbour matching behind `matching_accuracy`.  The
 Frank-Wolfe objective and gradient are the oracles of `fw_solve`, which
 tracks them incrementally.  `plain_sinkhorn` is the unrelaxed scaling
 loop that the Sinkhorn solver's warm-up sweeps must reproduce bit for
-bit.  `permutation_matrix` is the dense 0/1 form
-of a `Permutation`, which the library never builds.
+bit.  `squared_distances` and `gibbs_kernel` are the plain expressions
+whose bits the aligner's cost and the Sinkhorn kernel must keep.
+`permutation_matrix` is the dense 0/1 form of a `Permutation`, which
+the library never builds.
 """
 
 import numpy as np
@@ -52,12 +54,16 @@ def permutation_matrix(perm):
     return p
 
 
-def nearest_rows(xq, y):
-    """Nearest row of y to each row of xq by the dense squared distances."""
+def squared_distances(xq, y):
+    """Dense squared distances ||xq_i||^2 + ||y_j||^2 - 2 xq_i . y_j."""
     sq_x = (xq * xq).sum(axis=1)
     sq_y = (y * y).sum(axis=1)
-    cost = sq_x[:, None] + sq_y[None, :] - 2.0 * (xq @ y.T)
-    return np.argmin(cost, axis=1)
+    return sq_x[:, None] + sq_y[None, :] - 2.0 * (xq @ y.T)
+
+
+def nearest_rows(xq, y):
+    """Nearest row of y to each row of xq by the dense squared distances."""
+    return np.argmin(squared_distances(xq, y), axis=1)
 
 
 def retrieved_scores(q, t, cfg):
@@ -80,13 +86,18 @@ def fw_gradient(g, p):
     return 2.0 * (g.kx @ r - r @ g.ky)
 
 
+def gibbs_kernel(cost, eps):
+    """The entropic kernel exp(-(C - min C) / eps)."""
+    return np.exp(-(cost - cost.min()) / eps)
+
+
 def plain_sinkhorn(cost, eps, tol, max_sweeps):
     """Plain Sinkhorn-Knopp scaling: (plan, sweeps) once every column sum
     is within tol of 1/b (the rows are exact after each u update), or
     None after max_sweeps."""
     b = cost.shape[0]
     target = 1.0 / b
-    kernel = np.exp(-(cost - cost.min()) / eps)
+    kernel = gibbs_kernel(cost, eps)
     u = np.full(b, 1.0 / b)
     for sweep in range(1, max_sweeps + 1):
         v = target / (kernel.T @ u)

@@ -5,9 +5,9 @@ import pytest
 
 import wproc.aligner as aligner_mod
 import wproc.sinkhorn as sinkhorn_mod
-from oracles import permutation_matrix
+from oracles import permutation_matrix, squared_distances
 from wproc.aligner import AlignmentConfig, AlignmentState, align, align_step
-from wproc.assignment import max_trace_matching
+from wproc.assignment import max_trace_matching, solve_lap
 from wproc.errors import (
     ConfigError,
     DegenerateProjectionError,
@@ -271,3 +271,44 @@ def test_degenerate_update_names_iteration(monkeypatch):
         align_step(x, x, AlignmentState(q=OrthogonalMap(q=np.eye(3)),
                                         iteration=6), cfg)
     assert "iteration 7" in str(err.value)
+
+
+def test_hungarian_vertices_are_exact_on_the_raw_score(monkeypatch):
+    # The exact solve reads the score minus entropic potentials; every
+    # match must still be the assignment of the score itself.
+    rng = np.random.default_rng(30)
+    n, d = 400, 20
+    x = rng.standard_normal((n, d))
+    q = random_orthogonal(rng, d)
+    y = x[rng.permutation(n)] @ q + 0.3 * rng.standard_normal((n, d))
+    q0 = OrthogonalMap(project_orthogonal(q + 0.5 * rng.standard_normal((d, d))).q)
+    batches, picked = [], []
+
+    def record_step(x_batch, y_batch, state, cfg):
+        batches.append((x_batch, y_batch, state.q.q))
+        return align_step(x_batch, y_batch, state, cfg)
+
+    def record_match(score):
+        perm = max_trace_matching(score)
+        picked.append(perm.mapping.tolist())
+        return perm
+
+    monkeypatch.setattr(aligner_mod, "align_step", record_step)
+    monkeypatch.setattr(aligner_mod, "max_trace_matching", record_match)
+    cfg = AlignmentConfig(total_iters=9, batch_size_initial=40,
+                          matcher="hungarian", rng_seed=4)
+    align(x, y, q0, cfg)
+    assert len(picked) == len(batches) == 9
+    for (xb, yb, qb), got in zip(batches, picked):
+        want, _ = solve_lap(-((xb @ qb) @ yb.T))
+        assert got == want.mapping.tolist()
+
+
+def test_squared_distances_keep_the_plain_expression_bits():
+    rng = np.random.default_rng(31)
+    for b, d in ((1, 3), (7, 5), (150, 30)):
+        xq = rng.standard_normal((b, d))
+        y = xq + 1e-9 * rng.standard_normal((b, d))  # some entries round below 0
+        got = aligner_mod._squared_distances(xq, y)
+        want = np.maximum(squared_distances(xq, y), 0.0)
+        assert got.tobytes() == want.tobytes()

@@ -512,6 +512,27 @@ def test_exit_config_on_bad_count_or_list_flag(inst, tmp_path, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(("init", "--fw-iters", 0), "--fw-iters", id="init-fw-iters"),
+    pytest.param(("init", "--fw-gap-tol", 0), "--fw-gap-tol", id="init-fw-gap-tol"),
+    pytest.param(("init", "--fw-size", 0), "--fw-size", id="init-fw-size"),
+    pytest.param(("align", "--iters", 0), "--iters", id="align-iters"),
+    pytest.param(("align", "--batch-size", 1), "--batch-size", id="align-batch-size"),
+    pytest.param(("align", "--fw-iters", 0), "--fw-iters", id="align-convex-fw-iters"),
+])
+def test_bad_fw_or_align_flag_fails_before_the_inputs_load(tmp_path, capsys, argv,
+                                                          flag):
+    # The input files do not exist, so a check that waits for them to
+    # load exits 6 on the missing file instead of 3 on the flag.
+    command, *flags = argv
+    out = tmp_path / "o"
+    assert main([command, str(tmp_path / "none.src.vec"),
+                 str(tmp_path / "none.tgt.vec"), *map(str, flags),
+                 "--out", str(out)]) == 3
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("iters, done, status", [
     (40, 26, "gap_tol met"),
     (5, 5, "stopped at the iteration cap"),

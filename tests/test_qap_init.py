@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+import wproc.assignment as assignment
 import wproc.qap_init as qap_init
-from wproc.assignment import max_trace_matching, solve_lap
+from wproc.assignment import max_trace_matching, reduced_cost, solve_lap
 from wproc.errors import InvalidArgumentError
 from oracles import fw_gradient, fw_objective
 from wproc.qap_init import GramPair, build_grams, extract_q0, fw_solve
@@ -191,30 +192,83 @@ def crowded_cost(rng, m):
     return cost
 
 
-@pytest.mark.parametrize("make", [
-    lambda rng: rng.standard_normal((40, 40)),
-    lambda rng: rng.uniform(0.0, 1.0, (7, 7)),
+COSTS = {
+    "gaussian": lambda rng: rng.standard_normal((40, 40)),
+    "uniform-m7": lambda rng: rng.uniform(0.0, 1.0, (7, 7)),
     # Far from zero: the kernel must be shifted by min C before exp.
-    lambda rng: 1e3 + rng.standard_normal((30, 30)),
-    lambda rng: -1e6 * rng.uniform(1.0, 2.0, (25, 25)),
-    lambda rng: crowded_cost(rng, 200),
-    lambda rng: fw_gradient(build_grams(rng.standard_normal((80, 6)),
-                                        rng.standard_normal((80, 6)), 80),
-                            np.full((80, 80), 1.0 / 80)),
-], ids=["gaussian", "uniform-m7", "offset", "negative-1e6", "crowded", "fw-gradient"])
-def test_reduced_cost_keeps_the_optimal_assignment(make):
-    cost = make(np.random.default_rng(20))
-    reduced = qap_init._reduced_cost(cost)
-    assert np.isfinite(reduced).all()
+    "offset": lambda rng: 1e3 + rng.standard_normal((30, 30)),
+    "negative-1e6": lambda rng: -1e6 * rng.uniform(1.0, 2.0, (25, 25)),
+    "crowded": lambda rng: crowded_cost(rng, 200),
+    "fw-gradient": lambda rng: fw_gradient(
+        build_grams(rng.standard_normal((80, 6)), rng.standard_normal((80, 6)), 80),
+        np.full((80, 80), 1.0 / 80)),
+}
+
+
+def neighbour_potential(rng, cost):
+    # The column potential of a nearby cost, as the previous Frank-Wolfe
+    # gradient hands over.
+    span = cost.max() - cost.min()
+    return reduced_cost(cost + 1e-2 * span * rng.standard_normal(cost.shape))[1]
+
+
+# Warm column potentials: a good one, a stale one from an unrelated cost
+# of the same size, garbage, and one huge entry.
+WARM = {
+    "neighbour": neighbour_potential,
+    "stale": lambda rng, cost: reduced_cost(rng.standard_normal(cost.shape))[1],
+    "garbage": lambda rng, cost: 1e6 * rng.standard_normal(cost.shape[1]),
+    "huge-entry": lambda rng, cost: np.where(np.arange(cost.shape[1]) == 3,
+                                             1e12, 0.0),
+}
+
+
+def starts(ids):
+    """(id, warm) for each id: cold under the id itself, then each warm start."""
+    for case in ids:
+        yield pytest.param(case, None, id=case)
+        for name, warm in WARM.items():
+            yield pytest.param(case, warm, id=f"{case}-{name}")
+
+
+def reduce_from(monkeypatch, rng, cost, warm):
+    """reduced_cost cold, or from warm(rng, cost) with no cold fallback."""
+    if warm is None:
+        return reduced_cost(cost)
+    g = warm(rng, cost)
+    monkeypatch.setattr(assignment, "_cold_potentials", None)
+    return reduced_cost(cost, g)
+
+
+@pytest.mark.parametrize("case, warm", starts(COSTS))
+def test_reduced_cost_keeps_the_optimal_assignment(monkeypatch, case, warm):
+    rng = np.random.default_rng(20)
+    cost = COSTS[case](rng)
+    reduced, g = reduce_from(monkeypatch, rng, cost, warm)
+    assert np.isfinite(reduced).all() and np.isfinite(g).all()
     want, _ = solve_lap(cost)
     got, _ = solve_lap(reduced)
     assert got.mapping.tolist() == want.mapping.tolist()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_warm_potential_falls_back_to_cold(bad):
+    cost = crowded_cost(np.random.default_rng(24), 200)
+    g = np.zeros(200)
+    g[17] = bad
+    cold, g_cold = reduced_cost(cost)
+    warm, g_warm = reduced_cost(cost, g)
+    assert warm.tobytes() == cold.tobytes()
+    assert g_warm.tobytes() == g_cold.tobytes()
+
+
 def test_reduced_cost_of_a_constant_cost_is_the_cost():
     cost = np.full((5, 5), -2.5)
-    assert np.array_equal(qap_init._reduced_cost(cost), cost)
-    assert np.array_equal(qap_init._reduced_cost(np.array([[3.0]])), [[3.0]])
+    reduced, _ = reduced_cost(cost)
+    assert np.array_equal(reduced, cost)
+    # A copy: the caller may overwrite the reduced cost.
+    assert reduced is not cost
+    assert np.array_equal(reduced_cost(np.array([[3.0]]))[0], [[3.0]])
 
 
 def test_single_row_relaxation_converges():
@@ -226,17 +280,52 @@ def test_single_row_relaxation_converges():
     assert len(trace) == 1
 
 
-@pytest.mark.parametrize("sign", [1.0, -1.0])
-def test_reduced_cost_with_one_huge_entry(sign):
+@pytest.mark.parametrize("sign, warm", starts(["1.0", "-1.0"]))
+def test_reduced_cost_with_one_huge_entry(monkeypatch, sign, warm):
     # A span of 1e12 puts epsilon near 3e9.  Every kernel entry must stay
     # normal: with the huge entry below the rest, all but one entry sit
     # at the far end of the kernel's range.
     rng = np.random.default_rng(22)
     cost = rng.uniform(0.0, 1.0, (12, 12))
-    cost[4, 9] += sign * 1e12
-    reduced = qap_init._reduced_cost(cost)
+    cost[4, 9] += float(sign) * 1e12
+    reduced, _ = reduce_from(monkeypatch, rng, cost, warm)
     assert np.isfinite(reduced).all()
     _, total = solve_lap(cost)
     got, _ = solve_lap(reduced)
     got_total = float(cost[np.arange(12), got.mapping].sum())
     assert got_total == pytest.approx(total, rel=1e-12, abs=1e-9)
+
+
+def test_running_gradient_tracks_the_oracle(monkeypatch):
+    # fw_solve updates its gradient along each segment instead of forming
+    # it from P.  At every checkpoint k, the gradient handed to the oracle
+    # in iteration k + 1 is the gradient at the P that a run capped at k
+    # iterations returns, <grad, P> is twice the traced objective, and
+    # that P is doubly stochastic.
+    rng = np.random.default_rng(23)
+    m = 60
+    g = GramPair(rng.standard_normal((m, 5)), rng.standard_normal((m, 5)))
+    grads = []
+
+    def record(cost, pot=None):
+        grads.append(cost.copy())
+        return reduced_cost(cost, pot)
+
+    monkeypatch.setattr(qap_init, "reduced_cost", record)
+    plan, trace = fw_solve(g, max_iters=300, gap_tol=1e-300)
+    assert plan.iterations == 300
+    running = grads[:300]
+    for k in (0, 1, 2, 3, 10, 30, 100, 200, 299):
+        p = np.full((m, m), 1.0 / m)
+        if k:
+            capped, _ = fw_solve(g, max_iters=k, gap_tol=1e-300)
+            p = capped.weights * m
+        want = fw_gradient(g, p)
+        scale = np.abs(want).max()
+        assert np.abs(running[k] - want).max() <= 1e-12 * scale
+        assert float((want * p).sum()) == pytest.approx(2.0 * trace[k], rel=1e-12)
+        assert np.abs(p.sum(axis=0) - 1.0).max() <= 1e-12
+        assert np.abs(p.sum(axis=1) - 1.0).max() <= 1e-12
+    w = plan.weights * m
+    assert np.abs(w.sum(axis=0) - 1.0).max() <= 1e-12
+    assert np.abs(w.sum(axis=1) - 1.0).max() <= 1e-12

@@ -8,7 +8,7 @@ from wproc.assignment import solve_lap
 from wproc.errors import InvalidArgumentError
 from wproc.sinkhorn import TransportPlan, sinkhorn_plan
 
-from oracles import plain_sinkhorn
+from oracles import gibbs_kernel, plain_sinkhorn
 
 
 def random_cost(rng, b, scale=10.0):
@@ -261,3 +261,41 @@ def test_underflowing_kernel_starts_over_cold(monkeypatch):
     assert starts == [None]
     assert plan.converged
     assert plan.iterations <= sinkhorn._MAX_ITERS
+
+
+def test_kernel_keeps_the_plain_expression_bits():
+    rng = np.random.default_rng(40)
+    for cost in (random_cost(rng, 30), 1e3 + random_cost(rng, 9),
+                 -random_cost(rng, 12), np.array([[2.5]])):
+        eps = 0.05 * float(np.abs(cost).mean())
+        got = sinkhorn._gibbs_kernel(cost, cost.min(), eps)
+        assert got.tobytes() == gibbs_kernel(cost, eps).tobytes()
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 8, 41, 60])
+def test_adaptive_epsilon_is_the_numpy_median_bit_for_bit(b):
+    # b^2 entries: odd for odd b, even for even b.  The integer costs
+    # tie at the middle.
+    rng = np.random.default_rng(41)
+    for cost in (random_cost(rng, b), rng.integers(1, 4, (b, b)).astype(float),
+                 np.full((b, b), 0.7)):
+        got = sinkhorn._resolve_epsilon(cost, None)
+        assert got == 0.05 * float(np.median(cost))
+
+
+def test_handed_off_plan_builds_its_exponents_in_place():
+    # The log-domain plans and Newton candidates are built in one b x b
+    # array each and the Hessian is freed before the line search; the
+    # step used to peak at 7 b x b arrays of traced memory.
+    import tracemalloc
+
+    cost = near_aligned_cost(3)
+    eps = 0.05 * float(np.median(cost))
+    tracemalloc.start()
+    try:
+        plan = sinkhorn_plan(cost, eps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert plan.handed_off and plan.converged
+    assert peak <= 5.5 * cost.nbytes
