@@ -20,48 +20,11 @@ from .linalg import OrthogonalMap, as_matrix, project_orthogonal
 from .rng import PortableRng
 from .sinkhorn import sinkhorn_plan
 
-__all__ = ["AlignmentConfig", "AlignmentState", "align_step", "align"]
+__all__ = ["AlignmentState", "align_step", "align"]
 
 # Batch size above which the exact assignment gives way to Sinkhorn
 # under matcher="auto".
 _AUTO_EXACT_LIMIT = 512
-
-
-@dataclass(frozen=True)
-class AlignmentConfig:
-    """Settings for the stochastic alignment loop.
-
-    step_size multiplies the base step d / (2b); the matching gradient
-    scales with the batch size, so normalizing by b keeps the effective
-    step stable across the doubling schedule.  sinkhorn_eps is the
-    entropic regularization of Sinkhorn matching; None lets each plan
-    pick 0.05 * median(cost).
-    """
-
-    total_iters: int = 4000
-    batch_size_initial: int = 500
-    batch_doubling: bool = True
-    step_size: float = 1.0
-    matcher: str = "auto"
-    sinkhorn_eps: float | None = None
-    sample_pool: int | None = None
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if self.total_iters < 1:
-            raise InvalidArgumentError("total_iters must be at least 1")
-        if self.batch_size_initial < 2:
-            raise InvalidArgumentError("batch size must be at least 2")
-        if not self.step_size > 0.0:
-            raise InvalidArgumentError("step_size must be positive")
-        if self.matcher not in ("auto", "hungarian", "sinkhorn"):
-            raise InvalidArgumentError(
-                f"matcher must be auto, hungarian or sinkhorn, got {self.matcher!r}"
-            )
-        if self.sinkhorn_eps is not None and not self.sinkhorn_eps > 0.0:
-            raise InvalidArgumentError("sinkhorn_eps must be positive")
-        if self.sample_pool is not None and self.sample_pool < 2:
-            raise InvalidArgumentError("sample_pool must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -90,10 +53,15 @@ class AlignmentState:
     worst_marginal_error: float = 0.0
 
 
-def _resolve_matcher(matcher: str, b: int) -> str:
-    if matcher == "auto":
-        return "hungarian" if b <= _AUTO_EXACT_LIMIT else "sinkhorn"
-    return matcher
+def _check_step_args(step_size: float, matcher: str, sinkhorn_eps):
+    if not step_size > 0.0:
+        raise InvalidArgumentError("step_size must be positive")
+    if matcher not in ("auto", "hungarian", "sinkhorn"):
+        raise InvalidArgumentError(
+            f"matcher must be auto, hungarian or sinkhorn, got {matcher!r}"
+        )
+    if sinkhorn_eps is not None and not sinkhorn_eps > 0.0:
+        raise InvalidArgumentError("sinkhorn_eps must be positive")
 
 
 def _squared_distances(xq: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -109,15 +77,22 @@ def _squared_distances(xq: np.ndarray, y: np.ndarray) -> np.ndarray:
     return d2
 
 
-def align_step(
-    x_batch, y_batch, state: AlignmentState, cfg: AlignmentConfig
-) -> AlignmentState:
+def align_step(x_batch, y_batch, state: AlignmentState, *, step_size: float = 1.0,
+               matcher: str = "auto",
+               sinkhorn_eps: float | None = None) -> AlignmentState:
     """One matching + projected gradient step.
 
     Matches the batch under the current map, computes the gradient
     G = -2 X' P Y of the trace objective, and projects Q - alpha G back
-    onto the orthogonal group.
+    onto the orthogonal group.  alpha is step_size times the base step
+    d / (2b); the matching gradient scales with the batch size, so
+    normalizing by b keeps the effective step stable across the
+    doubling schedule.  matcher is "hungarian", "sinkhorn", or "auto",
+    which takes the exact assignment up to b = 512.  sinkhorn_eps is
+    the entropic regularization of Sinkhorn matching; None lets each
+    plan pick 0.05 * median(cost).
     """
+    _check_step_args(step_size, matcher, sinkhorn_eps)
     x = as_matrix(x_batch, "x batch")
     y = as_matrix(y_batch, "y batch")
     if x.shape != y.shape:
@@ -128,7 +103,8 @@ def align_step(
             f"batch dimension {d} does not match map dimension {state.q.dim}"
         )
     xq = x @ state.q.q
-    matcher = _resolve_matcher(cfg.matcher, b)
+    if matcher == "auto":
+        matcher = "hungarian" if b <= _AUTO_EXACT_LIMIT else "sinkhorn"
     plan_counts = {}
     if matcher == "hungarian":
         # minimizing sum ||x_i Q - y_match(i)||^2 = maximizing the trace
@@ -139,7 +115,7 @@ def align_step(
         perm = max_trace_matching(np.negative(reduced, out=reduced))
         matched = y[perm.mapping]
     else:
-        plan = sinkhorn_plan(_squared_distances(xq, y), cfg.sinkhorn_eps)
+        plan = sinkhorn_plan(_squared_distances(xq, y), sinkhorn_eps)
         # scale the mass-1 plan to row sums 1 so it plays the role of
         # a (soft) permutation matrix
         matched = (b * plan.weights) @ y
@@ -153,7 +129,7 @@ def align_step(
     diff = xq - matched
     loss = float((diff * diff).sum()) / b
     grad = -2.0 * (x.T @ matched)
-    alpha = cfg.step_size * d / (2.0 * b)
+    alpha = step_size * d / (2.0 * b)
     try:
         q_next = project_orthogonal(state.q.q - alpha * grad)
     except DegenerateProjectionError as exc:
@@ -170,34 +146,29 @@ def align_step(
     )
 
 
-def _batch_schedule(cfg: AlignmentConfig):
-    """Batch size per 1-based iteration index."""
-    t_total = cfg.total_iters
-    first = -(-t_total // 3)  # ceil
-    second = -(-2 * t_total // 3)
-
-    def batch_at(t: int) -> int:
-        if not cfg.batch_doubling:
-            return cfg.batch_size_initial
-        mult = 1
-        if t >= first:
-            mult *= 2
-        if t >= second:
-            mult *= 2
-        return cfg.batch_size_initial * mult
-
-    return batch_at
+def _batch_at(t: int, total_iters: int, batch_size_initial: int,
+              batch_doubling: bool) -> int:
+    """Batch size at 1-based iteration t."""
+    if not batch_doubling:
+        return batch_size_initial
+    # t >= ceil(k T / 3) exactly when 3 t >= k T.
+    doublings = (3 * t >= total_iters) + (3 * t >= 2 * total_iters)
+    return batch_size_initial * 2**doublings
 
 
-def align(
-    x, y, q0: OrthogonalMap, cfg: AlignmentConfig | None = None, step_callback=None
-) -> AlignmentState:
+def align(x, y, q0: OrthogonalMap, *, total_iters: int = 4000,
+          batch_size_initial: int = 500, batch_doubling: bool = True,
+          step_size: float = 1.0, matcher: str = "auto",
+          sinkhorn_eps: float | None = None, sample_pool: int | None = None,
+          rng_seed: int = 0, step_callback=None) -> AlignmentState:
     """Run the full stochastic loop from an initial orthogonal map.
 
     Batches are drawn uniformly without replacement from the first
-    sample_pool rows of each set, independently for x and y, from a
-    deterministic stream seeded by cfg.rng_seed.  When batch_doubling is
-    set, the batch size doubles at iterations ceil(T/3) and ceil(2T/3).
+    sample_pool rows of each set (default: all rows, at most 20000),
+    independently for x and y, from a deterministic stream seeded by
+    rng_seed.  When batch_doubling is set, the batch size doubles at
+    iterations ceil(T/3) and ceil(2T/3).  step_size, matcher and
+    sinkhorn_eps are passed to every align_step.
 
     step_callback, when given, is invoked with the state after every
     step; it exists for instrumentation (orthogonality audits, live
@@ -206,8 +177,13 @@ def align(
     returned state holds the pairs of all steps.  The Sinkhorn counters
     of every state cover all steps so far.
     """
-    if cfg is None:
-        cfg = AlignmentConfig()
+    if total_iters < 1:
+        raise InvalidArgumentError("total_iters must be at least 1")
+    if batch_size_initial < 2:
+        raise InvalidArgumentError("batch size must be at least 2")
+    _check_step_args(step_size, matcher, sinkhorn_eps)
+    if sample_pool is not None and sample_pool < 2:
+        raise InvalidArgumentError("sample_pool must be at least 2")
     x = as_matrix(x, "x")
     y = as_matrix(y, "y")
     if x.shape[1] != y.shape[1] or x.shape[1] != q0.dim:
@@ -215,25 +191,26 @@ def align(
             f"dimension mismatch: x {x.shape[1]}, y {y.shape[1]}, q0 {q0.dim}"
         )
     n = min(x.shape[0], y.shape[0])
-    pool = cfg.sample_pool if cfg.sample_pool is not None else min(n, 20000)
+    pool = sample_pool if sample_pool is not None else min(n, 20000)
     if pool > n:
         raise ConfigError(f"sample_pool {pool} exceeds available rows {n}")
-    batch_at = _batch_schedule(cfg)
-    final_b = batch_at(cfg.total_iters)
+    final_b = _batch_at(total_iters, total_iters, batch_size_initial, batch_doubling)
     if pool < final_b:
         raise ConfigError(
             f"sample_pool {pool} is smaller than the final batch size {final_b}"
         )
-    rng = PortableRng(cfg.rng_seed)
+    rng = PortableRng(rng_seed)
     state = AlignmentState(q=q0, iteration=0)
     history = []
-    for t in range(1, cfg.total_iters + 1):
-        b = batch_at(t)
+    for t in range(1, total_iters + 1):
+        b = _batch_at(t, total_iters, batch_size_initial, batch_doubling)
         ix = rng.sample_without_replacement(pool, b)
         iy = rng.sample_without_replacement(pool, b)
         # Each step starts from an empty history, so no step copies the
         # ones before it; the returned state gathers them all.
-        state = align_step(x[ix], y[iy], replace(state, loss_history=()), cfg)
+        state = align_step(x[ix], y[iy], replace(state, loss_history=()),
+                           step_size=step_size, matcher=matcher,
+                           sinkhorn_eps=sinkhorn_eps)
         history.extend(state.loss_history)
         if step_callback is not None:
             step_callback(state)

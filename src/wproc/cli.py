@@ -89,11 +89,13 @@ def _versions() -> dict:
 
 
 class _Run:
-    """What a command records for its manifest: phase timings and outputs."""
+    """What a command records for its manifest: phase timings, outputs,
+    and results that its output files do not hold."""
 
     def __init__(self):
         self.timings = {}
         self.outputs = []
+        self.results = {}
 
     @contextlib.contextmanager
     def phase(self, name: str):
@@ -114,6 +116,7 @@ def _write_manifest(args, argv, run: _Run):
         "versions": _versions(),
         "timings": {k: round(v, 6) for k, v in run.timings.items()},
         "outputs": sorted(run.outputs),
+        "results": run.results,
     }
     with open(args.out + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
@@ -127,26 +130,61 @@ def _write_csv(path, header, rows):
         w.writerows(rows)
 
 
-def _at_least_one(value, flag: str):
-    if value is not None and value < 1:
-        raise InvalidArgumentError(f"{flag} must be at least 1, got {value}")
+# The bound of each numeric flag that needs no data: the least integer
+# allowed, or 0.0 for a float that must be positive.  A list flag bounds
+# each entry.  Bounds that need the data (--topk at most the targets,
+# --sample-pool at most the rows, --csls-k clamped to the set sizes)
+# stay with the library.
+_FLAG_BOUNDS = {
+    "--max-vocab": 1, "--fw-size": 1, "--fw-iters": 1, "--fw-gap-tol": 0.0,
+    "--iters": 1, "--batch-size": 2, "--lr": 0.0, "--sinkhorn-eps": 0.0,
+    "--sample-pool": 2, "--epochs": 1, "--csls-k": 1, "--dict-cap": 1,
+    "--topk": 1, "--max-queries": 1, "--isf-beta": 0.0, "--candidate-cap": 1,
+    "--seeds": 1, "--ks": 1, "--sizes": 2,
+}
+_FW_FLAGS = ("--fw-size", "--fw-iters", "--fw-gap-tol")
+_STOCHASTIC_FLAGS = ("--iters", "--batch-size", "--lr", "--sinkhorn-eps",
+                     "--sample-pool")
 
 
-def _check_fw_flags(args):
-    """The Frank-Wolfe flags, checked before any input is read."""
-    _at_least_one(args.fw_size, "--fw-size")
-    _at_least_one(args.fw_iters, "--fw-iters")
-    if args.fw_gap_tol is not None and not args.fw_gap_tol > 0.0:
-        raise InvalidArgumentError(
-            f"--fw-gap-tol must be positive, got {args.fw_gap_tol}")
+def _bounded(flag: str, value):
+    low = _FLAG_BOUNDS[flag]
+    if isinstance(low, float):
+        if not value > low:  # NaN fails too
+            raise InvalidArgumentError(f"{flag} must be positive, got {value}")
+    elif value < low:
+        raise InvalidArgumentError(f"{flag} must be at least {low}, got {value}")
+    return value
 
 
 def _int_list(text: str, flag: str) -> list:
     try:
-        return [int(v) for v in text.split(",")]
+        values = [int(v) for v in text.split(",")]
     except ValueError:
         raise InvalidArgumentError(
             f"{flag} must be a comma list of integers, got {text!r}") from None
+    return [_bounded(flag, v) for v in values]
+
+
+def _check_flags(args):
+    """Each bounded flag the command will use, before any input is read.
+
+    The Frank-Wolfe flags count under `init` and `align --init convex`,
+    and the stochastic flags under `align` without --supervised.
+    """
+    unused = ()
+    if args.command == "align" and args.supervised:
+        unused = _FW_FLAGS + _STOCHASTIC_FLAGS
+    elif args.command == "align" and args.init != "convex":
+        unused = _FW_FLAGS
+    for flag in _FLAG_BOUNDS:
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is None or flag in unused:
+            continue
+        if isinstance(value, str):
+            _int_list(value, flag)
+        else:
+            _bounded(flag, value)
 
 
 def _load_pair(args):
@@ -154,8 +192,11 @@ def _load_pair(args):
     from .data_io import EmbeddingSet, load_vec
     from .preprocess import PreprocessSpec, preprocess
 
+    try:
+        spec = PreprocessSpec.parse(args.preprocess)
+    except InvalidArgumentError as exc:
+        raise InvalidArgumentError(f"--preprocess: {exc}") from None
     raw = [load_vec(path, args.max_vocab) for path in (args.src, args.tgt)]
-    spec = PreprocessSpec.parse(args.preprocess)
     return [EmbeddingSet(labels=e.labels,
                          matrix=preprocess(e.matrix, spec, labels=e.labels))
             for e in raw]
@@ -203,7 +244,6 @@ def _run_convex_init(args, xs, ys):
 def cmd_init(args, run) -> int:
     from .data_io import save_map
 
-    _check_fw_flags(args)
     with run.phase("load"):
         src, tgt = _load_pair(args)
     with run.phase("solve"):
@@ -234,19 +274,12 @@ def _initial_map(args, xs, ys):
 
 
 def cmd_align(args, run) -> int:
-    from .aligner import AlignmentConfig, align
+    from .aligner import align
     from .data_io import load_lexicon, save_map
     from .procrustes import fit_orthogonal
 
     if args.supervised and args.loss_csv:
         raise ConfigError("--loss-csv has no loss to write under --supervised")
-    if not args.supervised:
-        _at_least_one(args.iters, "--iters")
-        if args.batch_size < 2:
-            raise InvalidArgumentError(
-                f"--batch-size must be at least 2, got {args.batch_size}")
-        if args.init == "convex":
-            _check_fw_flags(args)
     with run.phase("load"):
         src, tgt = _load_pair(args)
     xs, ys = src.matrix, tgt.matrix
@@ -266,20 +299,15 @@ def cmd_align(args, run) -> int:
         print(f"wrote {args.out} (supervised fit on {len(hits)} pairs)")
         return EXIT_OK
 
-    cfg = AlignmentConfig(
-        total_iters=args.iters,
-        batch_size_initial=args.batch_size,
-        batch_doubling=not args.no_batch_doubling,
-        step_size=args.lr,
-        matcher=args.matcher,
-        sinkhorn_eps=args.sinkhorn_eps,
-        sample_pool=args.sample_pool,
-        rng_seed=args.seed,
-    )
     with run.phase("init"):
         q0 = _initial_map(args, xs, ys)
     with run.phase("align"):
-        state = align(xs, ys, q0, cfg)
+        state = align(xs, ys, q0, total_iters=args.iters,
+                      batch_size_initial=args.batch_size,
+                      batch_doubling=not args.no_batch_doubling,
+                      step_size=args.lr, matcher=args.matcher,
+                      sinkhorn_eps=args.sinkhorn_eps,
+                      sample_pool=args.sample_pool, rng_seed=args.seed)
     with run.phase("write"):
         save_map(args.out, state.q)
         if args.loss_csv:
@@ -315,6 +343,7 @@ def cmd_refine(args, run) -> int:
         _write_csv(log_path, ["epoch", "dictionary_size"],
                    enumerate(result.dictionary_sizes, start=1))
     run.outputs += [args.out, log_path]
+    run.results["epochs_fitted"] = result.epochs_fitted
     print(f"wrote {args.out} (status {result.status}, "
           f"dictionary sizes {list(result.dictionary_sizes)})")
     return EXIT_OK if result.status == "completed" else EXIT_EMPTY
@@ -324,7 +353,6 @@ def cmd_translate(args, run) -> int:
     from .data_io import load_map
     from .retrieval import retrieve
 
-    _at_least_one(args.max_queries, "--max-queries")
     with run.phase("load"):
         src, tgt = _load_pair(args)
         q = load_map(args.map)
@@ -412,14 +440,13 @@ def cmd_plot(args, run) -> int:
 
 
 def cmd_bench_batch_size(args, run) -> int:
-    from .aligner import AlignmentConfig, align
+    from .aligner import align
     from .data_io import synth_generate
     from .evaluation import matching_accuracy
     from .linalg import project_orthogonal
     from .rng import PortableRng
 
     sizes = _int_list(args.sizes, "--sizes")
-    _at_least_one(args.seeds, "--seeds")
     with run.phase("generate"):
         inst = synth_generate(args.n, args.d, args.sigma, args.seed)
     rows = []
@@ -431,17 +458,12 @@ def cmd_bench_batch_size(args, run) -> int:
             # start every size fails alike and the sweep measures nothing.
             g = PortableRng(seed).spawn(7).normal((args.d, args.d))
             q0 = project_orthogonal(inst.true_rotation.q + 0.15 * g)
-            cfg = AlignmentConfig(
-                total_iters=args.iters,
-                batch_size_initial=b,
-                batch_doubling=False,
-                step_size=args.lr,
-                matcher=args.matcher,
-                rng_seed=seed,
-            )
             phase = f"align_b{b}_seed{seed}"
             with run.phase(phase):
-                state = align(inst.x.matrix, inst.y.matrix, q0, cfg)
+                state = align(inst.x.matrix, inst.y.matrix, q0,
+                              total_iters=args.iters, batch_size_initial=b,
+                              batch_doubling=False, step_size=args.lr,
+                              matcher=args.matcher, rng_seed=seed)
             acc = matching_accuracy(inst, state.q, "nn")
             rows.append((b, seed, acc))
             print(f"b={b} seed={seed}: accuracy {acc:.4f} in {run.timings[phase]:.1f}s")
@@ -458,9 +480,13 @@ def cmd_bench_batch_size(args, run) -> int:
 def cmd_replay(args, run) -> int:
     with open(args.manifest, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    stored = doc.get("argv")
-    if not isinstance(stored, list) or not stored:
-        raise ParseError(f"manifest {args.manifest} has no argv to replay")
+    stored = doc.get("argv") if isinstance(doc, dict) else None
+    if not (isinstance(stored, list) and stored
+            and all(isinstance(a, str) for a in stored)):
+        raise ParseError(f"manifest {args.manifest} has no argv of strings to replay")
+    # A replayed replay could recurse without end.
+    if build_parser().parse_args(stored).command == "replay":
+        raise ParseError(f"manifest {args.manifest} replays another manifest")
     print(f"replaying: wproc {' '.join(stored)}")
     return main(stored)
 
@@ -589,6 +615,7 @@ def main(argv=None) -> int:
 
     run = _Run()
     try:
+        _check_flags(args)
         code = args.func(args, run)
         # A replayed command has already written its own manifest.
         if args.func is not cmd_replay:

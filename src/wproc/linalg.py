@@ -1,9 +1,9 @@
-"""Dense matrix kernel: SVD, orthogonal projection, and PCA.
+"""Dense matrix kernel: orthogonal projection and PCA.
 
-Everything operates on float64 numpy arrays.  The SVD is delegated to LAPACK
-but wrapped with a deterministic column-sign convention so that PCA scores
-are reproducible bit for bit.  Polar factors need no convention: they do
-not depend on the signs.
+Everything operates on float64 numpy arrays.  SVDs are delegated to
+LAPACK.  PCA scores take a deterministic sign per component so they are
+reproducible bit for bit; polar factors need no convention, since they
+do not depend on the signs.
 """
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ from .errors import DegenerateProjectionError, InvalidArgumentError, InvalidInpu
 
 __all__ = [
     "OrthogonalMap",
-    "SvdResult",
     "as_matrix",
-    "svd",
     "project_orthogonal",
     "pca_project",
 ]
@@ -44,15 +42,6 @@ def _row_norms(x: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SvdResult:
-    """Thin SVD ``m = u @ diag(s) @ v.T`` with ``s`` sorted descending."""
-
-    u: np.ndarray
-    s: np.ndarray
-    v: np.ndarray
-
-
-@dataclass(frozen=True)
 class OrthogonalMap:
     """A square orthogonal matrix; validates ``q.T @ q = I`` on construction."""
 
@@ -75,35 +64,14 @@ class OrthogonalMap:
         return self.q.shape[0]
 
 
-def svd(m) -> SvdResult:
-    """Thin SVD with a deterministic sign convention.
-
-    The sign of each column pair (u_j, v_j) is fixed so that the
-    largest-magnitude entry of u_j is positive; ties resolve to the lowest
-    row index.  Singular values come back sorted descending (LAPACK order).
-    """
-    m = as_matrix(m)
-    if min(m.shape) < 1:
-        raise InvalidInputError("matrix must have at least one row and column")
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    v = vh.T.copy()
-    u = u.copy()
-    for j in range(u.shape[1]):
-        i = int(np.argmax(np.abs(u[:, j])))
-        if u[i, j] < 0:
-            u[:, j] = -u[:, j]
-            v[:, j] = -v[:, j]
-    return SvdResult(u=u, s=s, v=v)
-
-
 def _polar(m: np.ndarray):
     """The polar factor ``u @ v.T`` of a square m, and its singular values.
 
     No sign convention is needed: flipping a column pair (u_j, v_j)
     negates both factors of each of its products, which is exact.  The
-    right operand is passed in Fortran order, the layout of ``svd``'s
-    ``v.T``, because BLAS can round ``u @ vh`` differently when vh is
-    C-ordered (at d=20 and d=50, not at d=300).
+    right operand is passed in Fortran order, the layout of ``v.T`` for a
+    C-ordered ``v``, because BLAS can round ``u @ vh`` differently when vh
+    is C-ordered (at d=20 and d=50, not at d=300).
     """
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     return u @ np.asfortranarray(vh), s
@@ -134,6 +102,10 @@ def pca_project(x, k: int) -> np.ndarray:
     """Project rows of ``x`` onto the top-``k`` principal directions.
 
     Data is column-centered first; the returned scores are ``n x k``.
+    Each component takes the sign that makes the largest-magnitude entry
+    of its left singular vector positive, ties going to the lowest row, so
+    the largest-magnitude score of each column is positive (up to
+    rounding) and the scores are reproducible bit for bit.
     """
     x = as_matrix(x)
     n, d = x.shape
@@ -144,5 +116,11 @@ def pca_project(x, k: int) -> np.ndarray:
     if k < 1:
         raise InvalidArgumentError("k must be >= 1")
     centered = x - x.mean(axis=0)
-    r = svd(centered)
-    return centered @ r.v[:, :k]
+    u, _, vh = np.linalg.svd(centered, full_matrices=False)
+    # Column j of the scores is s_j u_j.  The bits depend on the right
+    # operand being a slice of v's C-ordered copy.
+    v = vh.T.copy()
+    for j in range(k):
+        if u[int(np.argmax(np.abs(u[:, j]))), j] < 0:
+            v[:, j] = -v[:, j]
+    return centered @ v[:, :k]

@@ -31,12 +31,14 @@ class RefineResult:
 
     status is "completed" after the requested epochs, or
     "empty-dictionary" when an epoch induced no mutual pairs and the
-    partial result was returned.
+    partial result was returned.  epochs_fitted counts the Procrustes
+    fits, fewer than the epochs once the map reached its fixed point.
     """
 
     q: OrthogonalMap
     dictionary_sizes: tuple
     status: str
+    epochs_fitted: int
 
 
 def _check_counts(csls_k: int, candidate_cap: int):
@@ -102,7 +104,10 @@ def refine(
     replaces q by the orthogonal fit on the dictionary rows; csls_k and
     candidate_cap are passed to mutual_nn_dictionary.  If an epoch
     yields no pairs, the result so far is returned with status
-    "empty-dictionary".
+    "empty-dictionary".  Once an epoch induces the dictionary of the one
+    before, the map is a fixed point: every later epoch would fit the
+    same pairs to the same map, so the run stops and repeats that
+    dictionary's size for them.
     """
     if epochs < 1:
         raise InvalidArgumentError("epochs must be at least 1")
@@ -113,12 +118,19 @@ def refine(
         raise InvalidArgumentError(
             f"dimension mismatch: x {x.shape[1]}, y {y.shape[1]}, q {q.dim}"
         )
-    sizes = []
+    sizes, last = [], None
     for _ in range(epochs):
         try:
             d = mutual_nn_dictionary(x @ q.q, y, csls_k, candidate_cap)
         except EmptyResultError:
-            return RefineResult(q=q, dictionary_sizes=tuple(sizes), status="empty-dictionary")
-        sizes.append(len(d))
+            return RefineResult(q=q, dictionary_sizes=tuple(sizes),
+                                status="empty-dictionary", epochs_fitted=len(sizes))
+        if last is not None and np.array_equal(d, last):
+            break
         q = fit_orthogonal(x[d[:, 0]], y[d[:, 1]])
-    return RefineResult(q=q, dictionary_sizes=tuple(sizes), status="completed")
+        sizes.append(len(d))
+        last = d
+    fitted = len(sizes)
+    sizes += [len(last)] * (epochs - fitted)
+    return RefineResult(q=q, dictionary_sizes=tuple(sizes), status="completed",
+                        epochs_fitted=fitted)

@@ -10,11 +10,17 @@ loop that the Sinkhorn solver's warm-up sweeps must reproduce bit for
 bit.  `squared_distances` and `gibbs_kernel` are the plain expressions
 whose bits the aligner's cost and the Sinkhorn kernel must keep.
 `permutation_matrix` is the dense 0/1 form of a `Permutation`, which
-the library never builds.
+the library never builds.  `svd` is the signed thin SVD whose bits the
+polar factors and PCA scores keep.  `refine_every_epoch` is the
+refinement loop without its fixed-point stop.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
+from wproc.procrustes import fit_orthogonal
+from wproc.refine import mutual_nn_dictionary
 from wproc.retrieval import retrieve
 
 
@@ -105,3 +111,40 @@ def plain_sinkhorn(cost, eps, tol, max_sweeps):
         if np.abs(v * (kernel.T @ u) - target).max() <= tol:
             return u[:, None] * kernel * v[None, :], sweep
     return None
+
+
+@dataclass(frozen=True)
+class SvdResult:
+    """Thin SVD ``m = u @ diag(s) @ v.T`` with ``s`` sorted descending."""
+
+    u: np.ndarray
+    s: np.ndarray
+    v: np.ndarray
+
+
+def svd(m):
+    """Thin SVD with a deterministic sign convention.
+
+    The sign of each column pair (u_j, v_j) is fixed so that the
+    largest-magnitude entry of u_j is positive; ties resolve to the lowest
+    row index.  Singular values come back sorted descending (LAPACK order).
+    """
+    u, s, vh = np.linalg.svd(np.asarray(m, dtype=np.float64), full_matrices=False)
+    v = vh.T.copy()
+    u = u.copy()
+    for j in range(u.shape[1]):
+        i = int(np.argmax(np.abs(u[:, j])))
+        if u[i, j] < 0:
+            u[:, j] = -u[:, j]
+            v[:, j] = -v[:, j]
+    return SvdResult(u=u, s=s, v=v)
+
+
+def refine_every_epoch(x, y, q, epochs, csls_k=10, candidate_cap=20000):
+    """(map, dictionary sizes) after inducing and fitting every epoch."""
+    sizes = []
+    for _ in range(epochs):
+        d = mutual_nn_dictionary(x @ q.q, y, csls_k, candidate_cap)
+        sizes.append(len(d))
+        q = fit_orthogonal(x[d[:, 0]], y[d[:, 1]])
+    return q, tuple(sizes)

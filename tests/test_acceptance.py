@@ -19,7 +19,7 @@ import pytest
 import wproc
 import wproc.retrieval as retrieval_mod
 from oracles import fw_gradient, fw_objective, retrieved_scores
-from wproc.aligner import AlignmentConfig, AlignmentState, align, align_step
+from wproc.aligner import AlignmentState, align, align_step
 from wproc.assignment import max_trace_matching, solve_lap
 from wproc.data_io import synth_generate
 from wproc.evaluation import matching_accuracy
@@ -167,10 +167,8 @@ def test_criterion_05_stochastic_gradient_and_isometry():
     assert worst < 1e-6, f"gradient rel err {worst:.2e}"
 
     # the implementation takes exactly this gradient step
-    cfg1 = AlignmentConfig(total_iters=1, batch_size_initial=120,
-                           matcher="hungarian", rng_seed=0)
-    stepped = align_step(x, y, AlignmentState(q=q, iteration=0), cfg1)
-    alpha = cfg1.step_size * 12 / (2.0 * 120)
+    stepped = align_step(x, y, AlignmentState(q=q, iteration=0), matcher="hungarian")
+    alpha = 1.0 * 12 / (2.0 * 120)
     assert np.array_equal(stepped.q.q, project_orthogonal(q.q - alpha * grad).q)
 
     inst = synth_generate(200, 10, 0.1, seed=55)
@@ -180,9 +178,8 @@ def test_criterion_05_stochastic_gradient_and_isometry():
         e = state.q.q.T @ state.q.q - np.eye(10)
         orth_errs.append(float(np.linalg.norm(e)))
 
-    cfg = AlignmentConfig(total_iters=4000, batch_size_initial=50, rng_seed=55)
-    align(inst.x.matrix, inst.y.matrix,
-          OrthogonalMap(q=np.eye(10)), cfg, step_callback=watch)
+    align(inst.x.matrix, inst.y.matrix, OrthogonalMap(q=np.eye(10)),
+          total_iters=4000, batch_size_initial=50, rng_seed=55, step_callback=watch)
     assert len(orth_errs) == 4000
     worst_orth = max(orth_errs)
     assert worst_orth < 1e-8, f"worst orthogonality drift {worst_orth:.2e}"
@@ -203,9 +200,8 @@ def _pipeline_accuracy(sigma, seed):
     plan, _ = fw_solve(grams, max_iters=300)
     q0 = extract_q0(x[:m], y[band], plan)
 
-    cfg = AlignmentConfig(total_iters=2000, batch_size_initial=512,
-                          batch_doubling=False, rng_seed=seed)
-    state = align(x, y, q0, cfg)
+    state = align(x, y, q0, total_iters=2000, batch_size_initial=512,
+                  batch_doubling=False, rng_seed=seed)
 
     qm = state.q.q
     for _ in range(5):
@@ -311,11 +307,10 @@ def test_criterion_09_accuracy_and_cost_grow_with_batch_size():
             seed = 77 + 1000 * (s + 1)
             g = PortableRng(seed).spawn(7).normal((20, 20))
             q0 = project_orthogonal(inst.true_rotation.q + 0.15 * g)
-            cfg = AlignmentConfig(total_iters=150, batch_size_initial=b,
-                                  batch_doubling=False, matcher="hungarian",
-                                  rng_seed=seed)
             t0 = time.perf_counter()
-            state = align(inst.x.matrix, inst.y.matrix, q0, cfg)
+            state = align(inst.x.matrix, inst.y.matrix, q0, total_iters=150,
+                          batch_size_initial=b, batch_doubling=False,
+                          matcher="hungarian", rng_seed=seed)
             times.append(time.perf_counter() - t0)
             accs.append(matching_accuracy(inst, state.q, "nn"))
         mean_acc[b] = float(np.mean(accs))
@@ -402,9 +397,8 @@ def test_criterion_11_muse_en_es_benchmark():
     grams = build_grams(xs, ys, 2500)
     plan, _ = fw_solve(grams, max_iters=300)
     q0 = extract_q0(xs[:2500], ys[:2500], plan)
-    cfg = AlignmentConfig(total_iters=4000, batch_size_initial=500,
-                          sample_pool=20000, rng_seed=0)
-    state = align(xs, ys, q0, cfg)
+    state = align(xs, ys, q0, total_iters=4000, batch_size_initial=500,
+                  sample_pool=20000, rng_seed=0)
 
     src_p = EmbeddingSet(labels=src.labels, matrix=xs)
     tgt_p = EmbeddingSet(labels=tgt.labels, matrix=ys)

@@ -6,7 +6,7 @@ import pytest
 import wproc.aligner as aligner_mod
 import wproc.sinkhorn as sinkhorn_mod
 from oracles import permutation_matrix, squared_distances
-from wproc.aligner import AlignmentConfig, AlignmentState, align, align_step
+from wproc.aligner import AlignmentState, align, align_step
 from wproc.assignment import max_trace_matching, solve_lap
 from wproc.errors import (
     ConfigError,
@@ -23,19 +23,23 @@ def random_orthogonal(rng, d):
     return q * np.sign(np.diag(r))
 
 
-def test_config_validation():
-    with pytest.raises(InvalidArgumentError):
-        AlignmentConfig(total_iters=0)
-    with pytest.raises(InvalidArgumentError):
-        AlignmentConfig(batch_size_initial=1)
-    with pytest.raises(InvalidArgumentError):
-        AlignmentConfig(step_size=0.0)
-    with pytest.raises(InvalidArgumentError):
-        AlignmentConfig(matcher="greedy")
-    with pytest.raises(InvalidArgumentError):
-        AlignmentConfig(sinkhorn_eps=0.0)
-    with pytest.raises(InvalidArgumentError):
-        AlignmentConfig(sample_pool=1)
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(total_iters=0), "total_iters must be at least 1"),
+    (dict(batch_size_initial=1), "batch size must be at least 2"),
+    (dict(step_size=0.0), "step_size must be positive"),
+    (dict(step_size=float("nan")), "step_size must be positive"),
+    (dict(matcher="greedy"), "matcher must be auto, hungarian or sinkhorn"),
+    (dict(sinkhorn_eps=0.0), "sinkhorn_eps must be positive"),
+    (dict(sample_pool=1), "sample_pool must be at least 2"),
+])
+def test_argument_validation(kwargs, message):
+    x = np.random.default_rng(0).standard_normal((600, 3))
+    q0 = OrthogonalMap(q=np.eye(3))
+    with pytest.raises(InvalidArgumentError, match=message):
+        align(x, x, q0, **kwargs)
+    if not {"total_iters", "batch_size_initial", "sample_pool"} & set(kwargs):
+        with pytest.raises(InvalidArgumentError, match=message):
+            align_step(x[:4], x[:4], AlignmentState(q=q0, iteration=0), **kwargs)
 
 
 def test_hungarian_step_matches_manual_reconstruction():
@@ -44,9 +48,8 @@ def test_hungarian_step_matches_manual_reconstruction():
     x = rng.standard_normal((b, d))
     y = rng.standard_normal((b, d))
     q0 = OrthogonalMap(q=random_orthogonal(rng, d))
-    cfg = AlignmentConfig(batch_size_initial=b, step_size=0.7,
-                          matcher="hungarian")
-    state = align_step(x, y, AlignmentState(q=q0, iteration=0), cfg)
+    state = align_step(x, y, AlignmentState(q=q0, iteration=0), step_size=0.7,
+                       matcher="hungarian")
 
     perm = max_trace_matching((x @ q0.q) @ y.T)
     matched = y[perm.mapping]
@@ -68,9 +71,8 @@ def test_sinkhorn_step_matches_manual_reconstruction(monkeypatch):
     q0 = OrthogonalMap(q=np.eye(d))
     monkeypatch.setattr(sinkhorn_mod, "_MAX_ITERS", 500)
     monkeypatch.setattr(sinkhorn_mod, "_TOL_MARGINAL", 1e-9)
-    cfg = AlignmentConfig(batch_size_initial=b, matcher="sinkhorn",
-                          sinkhorn_eps=0.5)
-    state = align_step(x, y, AlignmentState(q=q0, iteration=0), cfg)
+    state = align_step(x, y, AlignmentState(q=q0, iteration=0), matcher="sinkhorn",
+                       sinkhorn_eps=0.5)
 
     xq = x @ q0.q
     d2 = (xq * xq).sum(1)[:, None] + (y * y).sum(1)[None, :] - 2.0 * (xq @ y.T)
@@ -116,10 +118,8 @@ def test_iterates_stay_orthogonal():
     y = x @ r
     q0 = OrthogonalMap(q=np.eye(5))
     errs = []
-    cfg = AlignmentConfig(total_iters=60, batch_size_initial=16,
-                          batch_doubling=False, rng_seed=4)
-    align(x, y, q0, cfg,
-          step_callback=lambda s: errs.append(
+    align(x, y, q0, total_iters=60, batch_size_initial=16, batch_doubling=False,
+          rng_seed=4, step_callback=lambda s: errs.append(
               np.linalg.norm(s.q.q.T @ s.q.q - np.eye(5))))
     assert len(errs) == 60
     assert max(errs) < 1e-8
@@ -136,9 +136,8 @@ def test_align_recovers_known_rotation():
     r = random_orthogonal(rng, 4)
     y = x @ r
     start = project_orthogonal(r + 0.05 * rng.standard_normal((4, 4)))
-    cfg = AlignmentConfig(total_iters=60, batch_size_initial=120,
-                          batch_doubling=False, rng_seed=6)
-    state = align(x, y, start, cfg)
+    state = align(x, y, start, total_iters=60, batch_size_initial=120,
+                  batch_doubling=False, rng_seed=6)
     first_losses = [v for _, v in state.loss_history[:5]]
     last_losses = [v for _, v in state.loss_history[-5:]]
     assert np.mean(last_losses) < 1e-3 * np.mean(first_losses)
@@ -152,17 +151,17 @@ def test_align_history_matches_chained_steps():
     x = rng.standard_normal((40, 3))
     y = rng.standard_normal((40, 3))
     q0 = OrthogonalMap(q=np.eye(3))
-    cfg = AlignmentConfig(total_iters=9, batch_size_initial=6, rng_seed=3)
     seen = []
-    got = align(x, y, q0, cfg, step_callback=lambda s: seen.append(s.loss_history))
+    got = align(x, y, q0, total_iters=9, batch_size_initial=6, rng_seed=3,
+                step_callback=lambda s: seen.append(s.loss_history))
 
     draws = PortableRng(3)
-    batch_at = aligner_mod._batch_schedule(cfg)
     state = AlignmentState(q=q0, iteration=0)
     for t in range(1, 10):
-        ix = draws.sample_without_replacement(40, batch_at(t))
-        iy = draws.sample_without_replacement(40, batch_at(t))
-        state = align_step(x[ix], y[iy], state, cfg)
+        b = aligner_mod._batch_at(t, 9, 6, True)
+        ix = draws.sample_without_replacement(40, b)
+        iy = draws.sample_without_replacement(40, b)
+        state = align_step(x[ix], y[iy], state)
     assert got.iteration == state.iteration == 9
     assert np.array_equal(got.q.q, state.q.q)
     assert got.loss_history == state.loss_history
@@ -178,10 +177,10 @@ def test_align_counts_plans_that_miss_tolerance(monkeypatch):
     y = rng.standard_normal((40, 3))
     q0 = OrthogonalMap(q=np.eye(3))
     monkeypatch.setattr(sinkhorn_mod, "_MAX_ITERS", 1)
-    cfg = AlignmentConfig(total_iters=6, batch_size_initial=20,
-                          batch_doubling=False, matcher="sinkhorn", rng_seed=4)
     seen = []
-    got = align(x, y, q0, cfg, step_callback=lambda s: seen.append(
+    got = align(x, y, q0, total_iters=6, batch_size_initial=20,
+                batch_doubling=False, matcher="sinkhorn", rng_seed=4,
+                step_callback=lambda s: seen.append(
         (s.plans_nonconverged, s.worst_marginal_error)))
     assert [n for n, _ in seen] == [1, 2, 3, 4, 5, 6]
     assert got.plans_nonconverged == 6
@@ -200,13 +199,12 @@ def test_align_counts_plans_that_miss_tolerance(monkeypatch):
         plan = sinkhorn_plan(d2)
         assert not plan.converged
         worst = max(worst, plan.marginal_error)
-        state = align_step(x[ix], y[iy], state, cfg)
+        state = align_step(x[ix], y[iy], state, matcher="sinkhorn")
     assert np.array_equal(got.q.q, state.q.q)
     assert got.worst_marginal_error == pytest.approx(worst, rel=1e-6)
 
-    exact = align(x, y, q0, AlignmentConfig(
-        total_iters=6, batch_size_initial=20, batch_doubling=False,
-        matcher="hungarian", rng_seed=4))
+    exact = align(x, y, q0, total_iters=6, batch_size_initial=20,
+                  batch_doubling=False, matcher="hungarian", rng_seed=4)
     assert exact.plans_nonconverged == 0
     assert exact.worst_marginal_error == 0.0
 
@@ -216,35 +214,26 @@ def test_align_deterministic_per_seed():
     x = rng.standard_normal((50, 3))
     y = rng.standard_normal((50, 3))
     q0 = OrthogonalMap(q=np.eye(3))
-    cfg = AlignmentConfig(total_iters=25, batch_size_initial=10,
-                          batch_doubling=False, rng_seed=11)
-    a = align(x, y, q0, cfg)
-    b = align(x, y, q0, cfg)
+    args = dict(total_iters=25, batch_size_initial=10, batch_doubling=False)
+    a = align(x, y, q0, rng_seed=11, **args)
+    b = align(x, y, q0, rng_seed=11, **args)
     assert np.array_equal(a.q.q, b.q.q)
     assert a.loss_history == b.loss_history
-    other = align(x, y, q0,
-                  AlignmentConfig(total_iters=25, batch_size_initial=10,
-                                  batch_doubling=False, rng_seed=12))
+    other = align(x, y, q0, rng_seed=12, **args)
     assert not np.array_equal(a.q.q, other.q.q)
 
 
 def test_batch_schedule_doubles_at_thirds():
-    batch_at = aligner_mod._batch_schedule(
-        AlignmentConfig(total_iters=9, batch_size_initial=2))
-    assert [batch_at(t) for t in range(1, 10)] == [2, 2, 4, 4, 4, 8, 8, 8, 8]
+    batch_at = aligner_mod._batch_at
+    assert [batch_at(t, 9, 2, True) for t in range(1, 10)] == [2, 2, 4, 4, 4, 8, 8, 8, 8]
 
-    batch_at = aligner_mod._batch_schedule(
-        AlignmentConfig(total_iters=4000, batch_size_initial=500))
-    assert batch_at(1333) == 500
-    assert batch_at(1334) == 1000
-    assert batch_at(2666) == 1000
-    assert batch_at(2667) == 2000
-    assert batch_at(4000) == 2000
+    assert batch_at(1333, 4000, 500, True) == 500
+    assert batch_at(1334, 4000, 500, True) == 1000
+    assert batch_at(2666, 4000, 500, True) == 1000
+    assert batch_at(2667, 4000, 500, True) == 2000
+    assert batch_at(4000, 4000, 500, True) == 2000
 
-    batch_at = aligner_mod._batch_schedule(
-        AlignmentConfig(total_iters=9, batch_size_initial=2,
-                        batch_doubling=False))
-    assert {batch_at(t) for t in range(1, 10)} == {2}
+    assert {batch_at(t, 9, 2, False) for t in range(1, 10)} == {2}
 
 
 def test_pool_checks():
@@ -253,11 +242,10 @@ def test_pool_checks():
     y = rng.standard_normal((100, 3))
     q0 = OrthogonalMap(q=np.eye(3))
     with pytest.raises(ConfigError):
-        align(x, y, q0, AlignmentConfig(total_iters=2, batch_size_initial=10,
-                                        sample_pool=200))
+        align(x, y, q0, total_iters=2, batch_size_initial=10, sample_pool=200)
     # Doubling pushes the final batch to 160 > 100 available rows.
     with pytest.raises(ConfigError):
-        align(x, y, q0, AlignmentConfig(total_iters=3, batch_size_initial=40))
+        align(x, y, q0, total_iters=3, batch_size_initial=40)
 
 
 def test_degenerate_update_names_iteration(monkeypatch):
@@ -266,10 +254,9 @@ def test_degenerate_update_names_iteration(monkeypatch):
 
     monkeypatch.setattr(aligner_mod, "project_orthogonal", boom)
     x = np.eye(3)
-    cfg = AlignmentConfig(batch_size_initial=3)
     with pytest.raises(DegenerateProjectionError) as err:
         align_step(x, x, AlignmentState(q=OrthogonalMap(q=np.eye(3)),
-                                        iteration=6), cfg)
+                                        iteration=6))
     assert "iteration 7" in str(err.value)
 
 
@@ -284,9 +271,9 @@ def test_hungarian_vertices_are_exact_on_the_raw_score(monkeypatch):
     q0 = OrthogonalMap(project_orthogonal(q + 0.5 * rng.standard_normal((d, d))).q)
     batches, picked = [], []
 
-    def record_step(x_batch, y_batch, state, cfg):
+    def record_step(x_batch, y_batch, state, **kwargs):
         batches.append((x_batch, y_batch, state.q.q))
-        return align_step(x_batch, y_batch, state, cfg)
+        return align_step(x_batch, y_batch, state, **kwargs)
 
     def record_match(score):
         perm = max_trace_matching(score)
@@ -295,9 +282,8 @@ def test_hungarian_vertices_are_exact_on_the_raw_score(monkeypatch):
 
     monkeypatch.setattr(aligner_mod, "align_step", record_step)
     monkeypatch.setattr(aligner_mod, "max_trace_matching", record_match)
-    cfg = AlignmentConfig(total_iters=9, batch_size_initial=40,
-                          matcher="hungarian", rng_seed=4)
-    align(x, y, q0, cfg)
+    align(x, y, q0, total_iters=9, batch_size_initial=40, matcher="hungarian",
+          rng_seed=4)
     assert len(picked) == len(batches) == 9
     for (xb, yb, qb), got in zip(batches, picked):
         want, _ = solve_lap(-((xb @ qb) @ yb.T))

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import wproc
@@ -13,9 +14,11 @@ import wproc.aligner as aligner_mod
 import wproc.refine as refine_mod
 import wproc.retrieval as retrieval_mod
 import wproc.sinkhorn as sinkhorn_mod
+from oracles import refine_every_epoch, svd
 from wproc import __version__, data_io
 from wproc.cli import main
 from wproc.errors import EmptyResultError
+from wproc.preprocess import PreprocessSpec, preprocess
 
 
 def run(*argv):
@@ -37,6 +40,13 @@ def inst(tmp_path):
         "manifest": f"{prefix}.manifest.json",
         "dir": tmp_path,
     }
+
+
+def prepared(inst):
+    """Both sets of an instance as the commands see them by default."""
+    spec = PreprocessSpec.parse("norm,center,norm")
+    return [preprocess(e.matrix, spec, labels=e.labels)
+            for e in (data_io.load_vec(inst["src"]), data_io.load_vec(inst["tgt"]))]
 
 
 def read_lex(path):
@@ -282,6 +292,20 @@ def test_plot_emits_all_points(inst, tmp_path):
     float(rows[0]["pc2"])
 
 
+def test_plot_writes_the_signed_svd_scores(inst, tmp_path):
+    out = tmp_path / "coords.csv"
+    assert run("plot", inst["src"], inst["tgt"], "--map", inst["map"],
+               "--out", out) == 0
+    x, y = prepared(inst)
+    points = np.vstack([x @ data_io.load_map(inst["map"]).q, y])
+    centered = points - points.mean(axis=0)
+    scores = centered @ svd(centered).v[:, :2]
+    with open(out, encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [[r["pc1"], r["pc2"]] for r in rows] == [
+        ["%.17g" % v for v in row] for row in scores]
+
+
 def test_max_vocab_limits_rows(inst, tmp_path):
     out = tmp_path / "trans.tsv"
     assert run("translate", inst["src"], inst["tgt"], "--map", inst["map"],
@@ -351,6 +375,23 @@ def test_manifest_records_phases_and_outputs(inst, tmp_path, argv, phases, maps)
     assert sorted(str(p) for p in run_dir.iterdir()) == sorted(
         doc["outputs"] + [str(manifest)] + sidecars)
     assert doc["outputs"] == sorted(doc["outputs"])
+
+
+def test_refine_stops_at_its_fixed_point_with_the_bytes_of_every_epoch(inst, tmp_path):
+    # The true map of a noise-free instance is a fixed point from epoch 1.
+    out = tmp_path / "r.map"
+    assert run("--threads", 1, "refine", inst["src"], inst["tgt"], "--map", inst["map"],
+               "--epochs", 5, "--out", out) == 0
+    x, y = prepared(inst)
+    q, sizes = refine_every_epoch(x, y, data_io.load_map(inst["map"]), 5)
+    want = tmp_path / "want.map"
+    data_io.save_map(want, q)
+    assert open(out, "rb").read() == open(want, "rb").read()
+    with open(f"{out}.epochs.csv", encoding="utf-8") as fh:
+        assert fh.read().splitlines() == ["epoch,dictionary_size"] + [
+            f"{i},{n}" for i, n in enumerate(sizes, start=1)]
+    with open(f"{out}.manifest.json", encoding="utf-8") as fh:
+        assert json.load(fh)["results"] == {"epochs_fitted": 1}
 
 
 def test_refine_empty_dictionary_still_writes_manifest(inst, tmp_path,
@@ -464,6 +505,31 @@ def test_exit_parse_on_manifest_without_argv(tmp_path):
     assert run("replay", m) == 2
 
 
+def test_exit_parse_on_a_manifest_that_is_a_list(tmp_path, capsys):
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps(["synth", "--n", "5", "--d", "2"]))
+    assert run("replay", m) == 2
+    assert str(m) in capsys.readouterr().err
+
+
+def test_exit_parse_on_a_manifest_argv_holding_a_number(tmp_path, capsys):
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps({"argv": ["synth", "--n", 5, "--d", "2",
+                                      "--out", str(tmp_path / "x")]}))
+    assert run("replay", m) == 2
+    assert str(m) in capsys.readouterr().err
+    assert not (tmp_path / "x.map").exists()
+
+
+def test_exit_parse_on_a_manifest_that_replays_a_manifest(tmp_path, capsys):
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps({"argv": ["--threads", "1", "replay", str(m)]}))
+    assert run("replay", m) == 2
+    out, err = capsys.readouterr()
+    assert "replaying:" not in out
+    assert str(m) in err
+
+
 def test_exit_config_on_bad_preprocess(inst, tmp_path):
     assert run("translate", inst["src"], inst["tgt"], "--map", inst["map"],
                "--out", tmp_path / "o", "--preprocess", "whiten") == 3
@@ -519,6 +585,34 @@ def test_exit_config_on_bad_count_or_list_flag(inst, tmp_path, argv):
     pytest.param(("align", "--iters", 0), "--iters", id="align-iters"),
     pytest.param(("align", "--batch-size", 1), "--batch-size", id="align-batch-size"),
     pytest.param(("align", "--fw-iters", 0), "--fw-iters", id="align-convex-fw-iters"),
+    pytest.param(("align", "--lr", 0), "--lr", id="align-lr"),
+    pytest.param(("align", "--lr", "nan"), "--lr", id="align-lr-nan"),
+    pytest.param(("align", "--sinkhorn-eps", 0), "--sinkhorn-eps",
+                 id="align-sinkhorn-eps"),
+    pytest.param(("align", "--sample-pool", 1), "--sample-pool", id="align-sample-pool"),
+    pytest.param(("align", "--supervised", "lex", "--max-vocab", 0), "--max-vocab",
+                 id="align-supervised-max-vocab"),
+    pytest.param(("refine", "--map", "m", "--epochs", 0), "--epochs", id="refine-epochs"),
+    pytest.param(("refine", "--map", "m", "--csls-k", 0), "--csls-k", id="refine-csls-k"),
+    pytest.param(("refine", "--map", "m", "--dict-cap", 0), "--dict-cap",
+                 id="refine-dict-cap"),
+    pytest.param(("refine", "--map", "m", "--preprocess", "bogus"), "--preprocess",
+                 id="refine-preprocess"),
+    pytest.param(("refine", "--map", "m", "--max-vocab", 0), "--max-vocab",
+                 id="refine-max-vocab"),
+    pytest.param(("translate", "--map", "m", "--topk", 0), "--topk", id="translate-topk"),
+    pytest.param(("translate", "--map", "m", "--csls-k", 0), "--csls-k",
+                 id="translate-csls-k"),
+    pytest.param(("translate", "--map", "m", "--isf-beta", 0), "--isf-beta",
+                 id="translate-isf-beta"),
+    pytest.param(("translate", "--map", "m", "--isf-beta", "nan"), "--isf-beta",
+                 id="translate-isf-beta-nan"),
+    pytest.param(("eval", "--map", "m", "--lexicon", "l", "--candidate-cap", 0),
+                 "--candidate-cap", id="eval-candidate-cap"),
+    pytest.param(("eval", "--map", "m", "--lexicon", "l", "--ks", "0,5"), "--ks",
+                 id="eval-ks"),
+    pytest.param(("eval", "--map", "m", "--lexicon", "l", "--isf-beta", 0), "--isf-beta",
+                 id="eval-isf-beta"),
 ])
 def test_bad_fw_or_align_flag_fails_before_the_inputs_load(tmp_path, capsys, argv,
                                                           flag):
@@ -529,8 +623,19 @@ def test_bad_fw_or_align_flag_fails_before_the_inputs_load(tmp_path, capsys, arg
     assert main([command, str(tmp_path / "none.src.vec"),
                  str(tmp_path / "none.tgt.vec"), *map(str, flags),
                  "--out", str(out)]) == 3
-    assert flag in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {flag} " in err or f"error: {flag}:" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    pytest.param(("--init", "random", "--fw-iters", 0), id="fw-under-random-init"),
+    pytest.param(("--supervised", "lex", "--lr", 0, "--batch-size", 1, "--fw-size", 0),
+                 id="stochastic-under-supervised"),
+])
+def test_align_flags_it_will_not_use_are_not_checked(tmp_path, flags):
+    assert main(["align", str(tmp_path / "none.src.vec"), str(tmp_path / "none.tgt.vec"),
+                 *map(str, flags), "--out", str(tmp_path / "o")]) == 6
 
 
 @pytest.mark.parametrize("iters, done, status", [

@@ -18,7 +18,7 @@ SUBMODULES = [import_module(f"wproc.{m.name}")
 REMOVED = ("cosine_scores", "csls_scores", "isf_scores", "estimate_objective",
            "plan_to_matching", "transport_cost", "residual", "SinkhornConfig",
            "default_refine_config", "fw_objective", "fw_gradient", "FwConfig",
-           "SeedDictionary")
+           "SeedDictionary", "AlignmentConfig", "SvdResult", "svd")
 
 
 def test_every_submodule_all_name_exists():

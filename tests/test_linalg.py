@@ -1,8 +1,9 @@
-"""SVD sign convention, orthogonal projection, and PCA checks."""
+"""Orthogonal projection, and PCA's sign convention and bits."""
 
 import numpy as np
 import pytest
 
+from oracles import svd
 from wproc.errors import (
     DegenerateProjectionError,
     InvalidArgumentError,
@@ -13,7 +14,6 @@ from wproc.linalg import (
     as_matrix,
     pca_project,
     project_orthogonal,
-    svd,
 )
 
 
@@ -31,35 +31,39 @@ def test_as_matrix_rejects_bad_input():
         as_matrix(np.array([[np.inf, 1.0]]))
 
 
-def reconstruct(r):
-    return (r.u * r.s) @ r.v.T
-
-
-def test_svd_reconstructs_and_orders():
+def test_pca_project_reconstructs_and_orders():
+    # With every component kept the scores are the centered rows in an
+    # orthonormal basis, ordered by variance.
     rng = np.random.default_rng(0)
     for _ in range(20):
-        m = rng.standard_normal((7, 5))
-        r = svd(m)
-        assert np.allclose(reconstruct(r), m, atol=1e-12)
-        assert np.all(np.diff(r.s) <= 1e-15)
+        x = rng.standard_normal((7, 5))
+        centered = x - x.mean(axis=0)
+        got = pca_project(x, 5)
+        assert np.allclose(got @ got.T, centered @ centered.T, atol=1e-12)
+        assert np.all(np.diff(got.var(axis=0)) <= 1e-15)
 
 
-def test_svd_sign_convention():
+def test_pca_project_sign_convention():
     rng = np.random.default_rng(1)
     for _ in range(20):
-        r = svd(rng.standard_normal((6, 4)))
-        for j in range(r.u.shape[1]):
-            i = int(np.argmax(np.abs(r.u[:, j])))
-            assert r.u[i, j] > 0
+        got = pca_project(rng.standard_normal((6, 4)), 3)
+        for j in range(got.shape[1]):
+            i = int(np.argmax(np.abs(got[:, j])))
+            assert got[i, j] > 0
 
 
-def test_svd_deterministic():
+def test_pca_project_deterministic():
     m = np.random.default_rng(2).standard_normal((8, 8))
-    a = svd(m)
-    b = svd(m)
-    assert np.array_equal(a.u, b.u)
-    assert np.array_equal(a.s, b.s)
-    assert np.array_equal(a.v, b.v)
+    assert pca_project(m, 8).tobytes() == pca_project(m, 8).tobytes()
+
+
+@pytest.mark.parametrize("n, d, k", [(2, 1, 1), (40, 7, 3), (300, 20, 2),
+                                     (500, 50, 50), (400, 300, 2)])
+def test_pca_project_keeps_the_bits_of_the_signed_svd(n, d, k):
+    x = np.random.default_rng(d).standard_normal((n, d))
+    centered = x - x.mean(axis=0)
+    want = centered @ svd(centered).v[:, :k]
+    assert pca_project(x, k).tobytes() == want.tobytes()
 
 
 def test_project_orthogonal_fixes_orthogonal_input():

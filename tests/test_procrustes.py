@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import svd
 from wproc.errors import DegenerateFitError, InvalidArgumentError
-from wproc.linalg import svd
 from wproc.procrustes import fit_orthogonal
 
 

@@ -5,7 +5,7 @@ import pytest
 
 import wproc.refine as refine_mod
 import wproc.retrieval as retrieval_mod
-from oracles import csls_scores, unit
+from oracles import csls_scores, refine_every_epoch, unit
 from wproc.errors import EmptyResultError, InvalidArgumentError
 from wproc.linalg import OrthogonalMap, project_orthogonal
 from wproc.refine import RefineResult, mutual_nn_dictionary, refine
@@ -151,6 +151,39 @@ def test_refine_fixed_point_on_aligned_sets():
     assert np.linalg.norm(result.q.q - r) < 1e-12
 
 
+@pytest.mark.parametrize("seed", [4, 11, 12])
+def test_refine_stops_at_its_fixed_point_with_the_bits_of_every_epoch(seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((80, 6))
+    r = random_orthogonal(rng, 6)
+    y = (x @ r + 0.02 * rng.standard_normal((80, 6)))[rng.permutation(80)]
+    start = project_orthogonal(r + 0.15 * rng.standard_normal((6, 6)))
+    result = refine(x, y, start, epochs=5, csls_k=5)
+    want_q, want_sizes = refine_every_epoch(x, y, start, 5, csls_k=5)
+    assert result.q.q.tobytes() == want_q.q.tobytes()
+    assert result.dictionary_sizes == want_sizes
+    assert result.epochs_fitted < 5
+
+
+def test_refine_takes_a_dictionary_differing_in_its_last_pair_for_a_new_one(
+        monkeypatch):
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((30, 4))
+    r = random_orthogonal(rng, 4)
+    y = x @ r
+    d = mutual_nn_dictionary(x @ r, y, 3)
+    moved = d.copy()
+    moved[-1, 1] = moved[0, 1]
+    given = iter([d, moved, moved])
+    monkeypatch.setattr(refine_mod, "mutual_nn_dictionary",
+                        lambda *args: next(given))
+    result = refine(x, y, OrthogonalMap(q=r), epochs=3, csls_k=3)
+    assert result.epochs_fitted == 2
+    assert result.dictionary_sizes == (30, 30, 30)
+    want = refine_mod.fit_orthogonal(x[moved[:, 0]], y[moved[:, 1]])
+    assert result.q.q.tobytes() == want.q.tobytes()
+
+
 def test_refine_improves_perturbed_map():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((80, 6))
@@ -169,6 +202,8 @@ def test_refine_improves_perturbed_map():
 def test_refine_empty_dictionary_returns_partial(monkeypatch):
     # Mutual pairs always exist for finite nonempty sets (the globally
     # best-scoring pair is mutual), so the empty path is forced here.
+    # The second dictionary drops a pair, so it is not a repeat of the
+    # first and the loop goes on to the third.
     calls = {"n": 0}
     real = refine_mod.mutual_nn_dictionary
 
@@ -176,7 +211,8 @@ def test_refine_empty_dictionary_returns_partial(monkeypatch):
         calls["n"] += 1
         if calls["n"] >= 3:
             raise EmptyResultError("no mutual nearest neighbors; cannot refine")
-        return real(xm, y, csls_k, candidate_cap)
+        d = real(xm, y, csls_k, candidate_cap)
+        return d if calls["n"] == 1 else d[:-1]
 
     monkeypatch.setattr(refine_mod, "mutual_nn_dictionary", flaky)
     rng = np.random.default_rng(5)
@@ -185,6 +221,7 @@ def test_refine_empty_dictionary_returns_partial(monkeypatch):
     result = refine(x, x @ r, OrthogonalMap(q=r), epochs=5, csls_k=3)
     assert result.status == "empty-dictionary"
     assert len(result.dictionary_sizes) == 2
+    assert result.epochs_fitted == 2
     # The partial map is the fit from the last successful epoch.
     assert np.linalg.norm(result.q.q - r) < 1e-12
 
@@ -225,5 +262,6 @@ def test_refine_rejects_dimension_mismatch(dx, dy, dq):
 
 def test_refine_result_is_plain_data():
     r = RefineResult(q=OrthogonalMap(q=np.eye(2)), dictionary_sizes=(4,),
-                     status="completed")
+                     status="completed", epochs_fitted=1)
     assert r.dictionary_sizes == (4,)
+    assert r.epochs_fitted == 1
