@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .assignment import max_trace_matching, reduced_cost
-from .errors import ConfigError, DegenerateProjectionError, InvalidArgumentError
+from .errors import DegenerateProjectionError, InvalidArgumentError
 from .linalg import OrthogonalMap, as_matrix, project_orthogonal
 from .rng import PortableRng
 from .sinkhorn import sinkhorn_plan
@@ -54,14 +54,14 @@ class AlignmentState:
 
 
 def _check_step_args(step_size: float, matcher: str, sinkhorn_eps):
-    if not step_size > 0.0:
-        raise InvalidArgumentError("step_size must be positive")
+    if not 0.0 < step_size < np.inf:
+        raise InvalidArgumentError("step_size must be finite and positive")
     if matcher not in ("auto", "hungarian", "sinkhorn"):
         raise InvalidArgumentError(
             f"matcher must be auto, hungarian or sinkhorn, got {matcher!r}"
         )
-    if sinkhorn_eps is not None and not sinkhorn_eps > 0.0:
-        raise InvalidArgumentError("sinkhorn_eps must be positive")
+    if sinkhorn_eps is not None and not 0.0 < sinkhorn_eps < np.inf:
+        raise InvalidArgumentError("sinkhorn_eps must be finite and positive")
 
 
 def _squared_distances(xq: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -193,10 +193,10 @@ def align(x, y, q0: OrthogonalMap, *, total_iters: int = 4000,
     n = min(x.shape[0], y.shape[0])
     pool = sample_pool if sample_pool is not None else min(n, 20000)
     if pool > n:
-        raise ConfigError(f"sample_pool {pool} exceeds available rows {n}")
+        raise InvalidArgumentError(f"sample_pool {pool} exceeds available rows {n}")
     final_b = _batch_at(total_iters, total_iters, batch_size_initial, batch_doubling)
     if pool < final_b:
-        raise ConfigError(
+        raise InvalidArgumentError(
             f"sample_pool {pool} is smaller than the final batch size {final_b}"
         )
     rng = PortableRng(rng_seed)

@@ -22,12 +22,12 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import os
 import sys
 import time
 
 from .errors import (
-    ConfigError,
     DegenerateFitError,
     DegenerateProjectionError,
     EmptyResultError,
@@ -49,7 +49,6 @@ _EXIT_CODES = {
     ParseError: EXIT_PARSE,
     IntegrityError: EXIT_PARSE,
     json.JSONDecodeError: EXIT_PARSE,
-    ConfigError: EXIT_CONFIG,
     InvalidArgumentError: EXIT_CONFIG,
     InvalidInputError: EXIT_CONFIG,
     DegenerateFitError: EXIT_NUMERIC,
@@ -67,9 +66,23 @@ _THREAD_ENV_VARS = (
 )
 
 
-def _apply_threads(n: int):
+def _apply_threads(args):
+    """Cap the numeric thread pools at --threads, else at WPROC_THREADS."""
+    source, value = "--threads", args.threads
+    if value is None:
+        env = os.environ.get("WPROC_THREADS", "").strip()
+        if not env:
+            return
+        source = "WPROC_THREADS"
+        try:
+            value = int(env)
+        except ValueError:
+            raise InvalidArgumentError(
+                f"WPROC_THREADS={env!r} is not an integer") from None
+    if value < 1:
+        raise InvalidArgumentError(f"{source} must be at least 1, got {value}")
     for var in _THREAD_ENV_VARS:
-        os.environ[var] = str(n)
+        os.environ[var] = str(value)
 
 
 def _versions() -> dict:
@@ -131,10 +144,11 @@ def _write_csv(path, header, rows):
 
 
 # The bound of each numeric flag that needs no data: the least integer
-# allowed, or 0.0 for a float that must be positive.  A list flag bounds
-# each entry.  Bounds that need the data (--topk at most the targets,
-# --sample-pool at most the rows, --csls-k clamped to the set sizes)
-# stay with the library.
+# allowed, or 0.0 for a float that must be finite and positive.  A list
+# flag bounds each entry.  Bounds that need the data (--topk at most the
+# targets, --sample-pool at most the rows, --csls-k at most the set sizes,
+# which refine clamps it to and translate and eval enforce) stay with the
+# library.
 _FLAG_BOUNDS = {
     "--max-vocab": 1, "--fw-size": 1, "--fw-iters": 1, "--fw-gap-tol": 0.0,
     "--iters": 1, "--batch-size": 2, "--lr": 0.0, "--sinkhorn-eps": 0.0,
@@ -150,8 +164,9 @@ _STOCHASTIC_FLAGS = ("--iters", "--batch-size", "--lr", "--sinkhorn-eps",
 def _bounded(flag: str, value):
     low = _FLAG_BOUNDS[flag]
     if isinstance(low, float):
-        if not value > low:  # NaN fails too
-            raise InvalidArgumentError(f"{flag} must be positive, got {value}")
+        if not low < value < math.inf:  # NaN fails too
+            raise InvalidArgumentError(
+                f"{flag} must be finite and positive, got {value}")
     elif value < low:
         raise InvalidArgumentError(f"{flag} must be at least {low}, got {value}")
     return value
@@ -167,7 +182,8 @@ def _int_list(text: str, flag: str) -> list:
 
 
 def _check_flags(args):
-    """Each bounded flag the command will use, before any input is read.
+    """Each bounded flag the command will use, and the --preprocess
+    steps, before any input is read.
 
     The Frank-Wolfe flags count under `init` and `align --init convex`,
     and the stochastic flags under `align` without --supervised.
@@ -185,20 +201,22 @@ def _check_flags(args):
             _int_list(value, flag)
         else:
             _bounded(flag, value)
+    if hasattr(args, "preprocess"):
+        from .preprocess import _parse_steps
+
+        try:
+            _parse_steps(args.preprocess)
+        except InvalidArgumentError as exc:
+            raise InvalidArgumentError(f"--preprocess: {exc}") from None
 
 
 def _load_pair(args):
     """Both embedding sets, preprocessed per the shared flags."""
     from .data_io import EmbeddingSet, load_vec
-    from .preprocess import PreprocessSpec, preprocess
+    from .preprocess import preprocess
 
-    try:
-        spec = PreprocessSpec.parse(args.preprocess)
-    except InvalidArgumentError as exc:
-        raise InvalidArgumentError(f"--preprocess: {exc}") from None
     raw = [load_vec(path, args.max_vocab) for path in (args.src, args.tgt)]
-    return [EmbeddingSet(labels=e.labels,
-                         matrix=preprocess(e.matrix, spec, labels=e.labels))
+    return [EmbeddingSet(e.labels, preprocess(e.matrix, args.preprocess, e.labels))
             for e in raw]
 
 
@@ -279,7 +297,7 @@ def cmd_align(args, run) -> int:
     from .procrustes import fit_orthogonal
 
     if args.supervised and args.loss_csv:
-        raise ConfigError("--loss-csv has no loss to write under --supervised")
+        raise InvalidArgumentError("--loss-csv has no loss to write under --supervised")
     with run.phase("load"):
         src, tgt = _load_pair(args)
     xs, ys = src.matrix, tgt.matrix
@@ -484,8 +502,13 @@ def cmd_replay(args, run) -> int:
     if not (isinstance(stored, list) and stored
             and all(isinstance(a, str) for a in stored)):
         raise ParseError(f"manifest {args.manifest} has no argv of strings to replay")
+    try:
+        command = build_parser().parse_args(stored).command
+    except SystemExit:  # argparse has printed what is wrong
+        raise ParseError(
+            f"manifest {args.manifest} holds an argv wproc cannot parse") from None
     # A replayed replay could recurse without end.
-    if build_parser().parse_args(stored).command == "replay":
+    if command == "replay":
         raise ParseError(f"manifest {args.manifest} replays another manifest")
     print(f"replaying: wproc {' '.join(stored)}")
     return main(stored)
@@ -595,26 +618,10 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     argv = list(argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    threads = args.threads
-    if threads is None:
-        env = os.environ.get("WPROC_THREADS", "").strip()
-        if env:
-            try:
-                threads = int(env)
-            except ValueError:
-                print(f"error: WPROC_THREADS={env!r} is not an integer",
-                      file=sys.stderr)
-                return EXIT_CONFIG
-    if threads is not None:
-        if threads < 1:
-            print("error: --threads must be at least 1", file=sys.stderr)
-            return EXIT_CONFIG
-        _apply_threads(threads)
-
+    args = build_parser().parse_args(argv)
     run = _Run()
     try:
+        _apply_threads(args)
         _check_flags(args)
         code = args.func(args, run)
         # A replayed command has already written its own manifest.

@@ -5,7 +5,7 @@ Every error raised by the library derives from :class:`WprocError` so callers
 """
 
 __all__ = [
-    "WprocError", "InvalidInputError", "InvalidArgumentError", "ConfigError",
+    "WprocError", "InvalidInputError", "InvalidArgumentError",
     "DegenerateProjectionError", "DegenerateFitError", "ParseError",
     "IntegrityError", "EmptyResultError",
 ]
@@ -20,11 +20,8 @@ class InvalidInputError(WprocError):
 
 
 class InvalidArgumentError(WprocError):
-    """A parameter value is out of its allowed range."""
-
-
-class ConfigError(WprocError):
-    """A configuration object is internally inconsistent."""
+    """A parameter value is out of its allowed range or contradicts another
+    parameter or the data."""
 
 
 class DegenerateProjectionError(WprocError):

@@ -9,61 +9,34 @@ renormalization, zero mean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidArgumentError, InvalidInputError
 from .linalg import _row_norms, as_matrix
 
-__all__ = ["STEP_UNIT_NORM", "STEP_CENTER", "PreprocessSpec", "preprocess"]
+__all__ = ["preprocess"]
 
-STEP_UNIT_NORM = "unit-norm"
-STEP_CENTER = "center"
-
-_ALIASES = {
-    "norm": STEP_UNIT_NORM,
-    "unit-norm": STEP_UNIT_NORM,
-    "unit_norm": STEP_UNIT_NORM,
-    "center": STEP_CENTER,
-    "centre": STEP_CENTER,
+# Every accepted spelling of a step, and the step it names.
+_STEPS = {
+    "norm": "unit-norm",
+    "unit-norm": "unit-norm",
+    "unit_norm": "unit-norm",
+    "center": "center",
+    "centre": "center",
 }
 
 
-@dataclass(frozen=True)
-class PreprocessSpec:
-    """Ordered list of normalization steps."""
-
-    steps: tuple
-
-    def __post_init__(self):
-        steps = tuple(self.steps)
-        if not steps:
-            raise InvalidArgumentError("preprocessing spec must have at least one step")
-        for s in steps:
-            if s not in (STEP_UNIT_NORM, STEP_CENTER):
-                raise InvalidArgumentError(f"unknown preprocessing step {s!r}")
-        object.__setattr__(self, "steps", steps)
-
-    @classmethod
-    def parse(cls, text: str) -> "PreprocessSpec":
-        """Parse a comma list like ``"norm,center,norm"``."""
-        tokens = [t.strip().lower() for t in text.split(",") if t.strip()]
-        if not tokens:
-            raise InvalidArgumentError("empty preprocessing spec")
-        steps = []
-        for t in tokens:
-            if t not in _ALIASES:
-                raise InvalidArgumentError(
-                    f"unknown preprocessing step {t!r}; expected one of "
-                    "norm, center"
-                )
-            steps.append(_ALIASES[t])
-        return cls(tuple(steps))
-
-    @classmethod
-    def default(cls) -> "PreprocessSpec":
-        return cls((STEP_UNIT_NORM, STEP_CENTER, STEP_UNIT_NORM))
+def _parse_steps(text: str) -> list:
+    """The steps of a comma list like ``"norm,center,norm"``, in order."""
+    tokens = [t.strip().lower() for t in text.split(",") if t.strip()]
+    if not tokens:
+        raise InvalidArgumentError("empty preprocessing spec")
+    for t in tokens:
+        if t not in _STEPS:
+            raise InvalidArgumentError(
+                f"unknown preprocessing step {t!r}; expected one of norm, center"
+            )
+    return [_STEPS[t] for t in tokens]
 
 
 def _unit_norm(x: np.ndarray, labels):
@@ -77,22 +50,23 @@ def _unit_norm(x: np.ndarray, labels):
     x /= norms[:, None]
 
 
-def preprocess(x, spec: PreprocessSpec | None = None, labels=None) -> np.ndarray:
+def preprocess(x, steps: str = "norm,center,norm", labels=None) -> np.ndarray:
     """Apply the normalization steps in order; returns a new array.
 
     Parameters
     ----------
     x : (n, d) array_like
-    spec : PreprocessSpec, optional
-        Defaults to unit-norm, center, unit-norm.
+    steps : str
+        Comma list of ``norm`` (also ``unit-norm``, ``unit_norm``) and
+        ``center`` (also ``centre``), in any case; blank entries are
+        skipped.  Defaults to unit-norm, center, unit-norm.
     labels : sequence of str, optional
         Row names used in error messages when a zero-norm row is hit.
     """
-    if spec is None:
-        spec = PreprocessSpec.default()
+    steps = _parse_steps(steps)
     out = as_matrix(x, "embeddings").copy()
-    for step in spec.steps:
-        if step == STEP_UNIT_NORM:
+    for step in steps:
+        if step == "unit-norm":
             _unit_norm(out, labels)
         else:
             out -= out.mean(axis=0)

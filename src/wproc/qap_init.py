@@ -108,8 +108,8 @@ def fw_solve(g: GramPair, max_iters: int = 300, gap_tol: float | None = None):
     """
     if max_iters < 1:
         raise InvalidArgumentError("max_iters must be at least 1")
-    if gap_tol is not None and not gap_tol > 0.0:
-        raise InvalidArgumentError("gap_tol must be positive")
+    if gap_tol is not None and not 0.0 < gap_tol < np.inf:
+        raise InvalidArgumentError("gap_tol must be finite and positive")
     m = g.size
     kx, ky = g.kx, g.ky
     kx2, ky2 = _gram(kx), _gram(ky)

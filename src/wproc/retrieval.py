@@ -63,8 +63,8 @@ class RetrievalConfig:
             )
         if self.csls_k < 1:
             raise InvalidArgumentError("csls_k must be at least 1")
-        if not self.isf_beta > 0.0:
-            raise InvalidArgumentError("isf_beta must be positive")
+        if not 0.0 < self.isf_beta < np.inf:
+            raise InvalidArgumentError("isf_beta must be finite and positive")
         if self.candidate_cap < 1:
             raise InvalidArgumentError("candidate_cap must be at least 1")
 

@@ -104,8 +104,8 @@ class TransportPlan:
 
 def _resolve_epsilon(cost: np.ndarray, epsilon: float | None) -> float:
     if epsilon is not None:
-        if not epsilon > 0.0:
-            raise InvalidArgumentError("epsilon must be positive")
+        if not 0.0 < epsilon < np.inf:
+            raise InvalidArgumentError("epsilon must be finite and positive")
         return float(epsilon)
     # np.median's bits from one partition: the upper middle entry, and for
     # an even count the mean of it and the largest entry below it.
@@ -349,7 +349,7 @@ def sinkhorn_plan(cost: np.ndarray, epsilon: float | None = None) -> TransportPl
     cost : (b, b) array_like
         Pairwise transport costs.  Must be finite.
     epsilon : float, optional
-        Entropic regularization, positive.  None selects
+        Entropic regularization, finite and positive.  None selects
         0.05 * median(cost) per call, which tracks the scale of the
         inputs.
 

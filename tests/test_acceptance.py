@@ -382,7 +382,7 @@ MUSE_HELP = (
 def test_criterion_11_muse_en_es_benchmark():
     from wproc.data_io import EmbeddingSet, load_lexicon, load_vec
     from wproc.evaluation import evaluate_bli
-    from wproc.preprocess import PreprocessSpec, preprocess
+    from wproc.preprocess import preprocess
     from wproc.refine import refine
     from wproc.retrieval import RetrievalConfig
 
@@ -390,9 +390,8 @@ def test_criterion_11_muse_en_es_benchmark():
     src = load_vec(os.path.join(root, "wiki.en.vec"), max_rows=200000)
     tgt = load_vec(os.path.join(root, "wiki.es.vec"), max_rows=200000)
     lex = load_lexicon(os.path.join(root, "en-es.5000-6500.txt"))
-    spec = PreprocessSpec.parse("norm,center,norm")
-    xs = preprocess(src.matrix, spec, labels=src.labels)
-    ys = preprocess(tgt.matrix, spec, labels=tgt.labels)
+    xs = preprocess(src.matrix, "norm,center,norm", labels=src.labels)
+    ys = preprocess(tgt.matrix, "norm,center,norm", labels=tgt.labels)
 
     grams = build_grams(xs, ys, 2500)
     plan, _ = fw_solve(grams, max_iters=300)

@@ -8,11 +8,7 @@ import wproc.sinkhorn as sinkhorn_mod
 from oracles import permutation_matrix, squared_distances
 from wproc.aligner import AlignmentState, align, align_step
 from wproc.assignment import max_trace_matching, solve_lap
-from wproc.errors import (
-    ConfigError,
-    DegenerateProjectionError,
-    InvalidArgumentError,
-)
+from wproc.errors import DegenerateProjectionError, InvalidArgumentError
 from wproc.linalg import OrthogonalMap, project_orthogonal
 from wproc.rng import PortableRng
 from wproc.sinkhorn import sinkhorn_plan
@@ -26,10 +22,12 @@ def random_orthogonal(rng, d):
 @pytest.mark.parametrize("kwargs, message", [
     (dict(total_iters=0), "total_iters must be at least 1"),
     (dict(batch_size_initial=1), "batch size must be at least 2"),
-    (dict(step_size=0.0), "step_size must be positive"),
-    (dict(step_size=float("nan")), "step_size must be positive"),
+    (dict(step_size=0.0), "step_size must be finite and positive"),
+    (dict(step_size=float("nan")), "step_size must be finite and positive"),
+    (dict(step_size=float("inf")), "step_size must be finite and positive"),
     (dict(matcher="greedy"), "matcher must be auto, hungarian or sinkhorn"),
-    (dict(sinkhorn_eps=0.0), "sinkhorn_eps must be positive"),
+    (dict(sinkhorn_eps=0.0), "sinkhorn_eps must be finite and positive"),
+    (dict(sinkhorn_eps=float("inf")), "sinkhorn_eps must be finite and positive"),
     (dict(sample_pool=1), "sample_pool must be at least 2"),
 ])
 def test_argument_validation(kwargs, message):
@@ -241,10 +239,10 @@ def test_pool_checks():
     x = rng.standard_normal((100, 3))
     y = rng.standard_normal((100, 3))
     q0 = OrthogonalMap(q=np.eye(3))
-    with pytest.raises(ConfigError):
+    with pytest.raises(InvalidArgumentError, match="sample_pool 200 exceeds"):
         align(x, y, q0, total_iters=2, batch_size_initial=10, sample_pool=200)
     # Doubling pushes the final batch to 160 > 100 available rows.
-    with pytest.raises(ConfigError):
+    with pytest.raises(InvalidArgumentError, match="smaller than the final batch"):
         align(x, y, q0, total_iters=3, batch_size_initial=40)
 
 

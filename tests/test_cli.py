@@ -1,5 +1,6 @@
 """Command line surface: pipelines, manifests, exit codes, determinism."""
 
+import argparse
 import csv
 import json
 import os
@@ -16,9 +17,9 @@ import wproc.retrieval as retrieval_mod
 import wproc.sinkhorn as sinkhorn_mod
 from oracles import refine_every_epoch, svd
 from wproc import __version__, data_io
-from wproc.cli import main
+from wproc.cli import _FLAG_BOUNDS, build_parser, main
 from wproc.errors import EmptyResultError
-from wproc.preprocess import PreprocessSpec, preprocess
+from wproc.preprocess import preprocess
 
 
 def run(*argv):
@@ -44,8 +45,7 @@ def inst(tmp_path):
 
 def prepared(inst):
     """Both sets of an instance as the commands see them by default."""
-    spec = PreprocessSpec.parse("norm,center,norm")
-    return [preprocess(e.matrix, spec, labels=e.labels)
+    return [preprocess(e.matrix, "norm,center,norm", labels=e.labels)
             for e in (data_io.load_vec(inst["src"]), data_io.load_vec(inst["tgt"]))]
 
 
@@ -530,19 +530,42 @@ def test_exit_parse_on_a_manifest_that_replays_a_manifest(tmp_path, capsys):
     assert str(m) in err
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["bogus", "--x"], id="unknown-command"),
+    pytest.param(["eval", "a", "b"], id="missing-required-flags"),
+])
+def test_exit_parse_on_a_manifest_argv_argparse_refuses(tmp_path, capsys, argv):
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps({"argv": argv}))
+    assert run("replay", m) == 2
+    out, err = capsys.readouterr()
+    assert "replaying:" not in out
+    assert f"error: manifest {m} holds an argv wproc cannot parse" in err
+
+
 def test_exit_config_on_bad_preprocess(inst, tmp_path):
     assert run("translate", inst["src"], inst["tgt"], "--map", inst["map"],
                "--out", tmp_path / "o", "--preprocess", "whiten") == 3
 
 
-def test_exit_config_on_zero_threads(inst, tmp_path):
+def test_exit_config_on_zero_threads(inst, tmp_path, capsys):
     assert run("--threads", 0, "synth", "--n", 5, "--d", 2,
                "--out", tmp_path / "x") == 3
+    assert "error: --threads must be at least 1, got 0" in capsys.readouterr().err
 
 
-def test_exit_config_on_bad_env_threads(tmp_path, monkeypatch):
+def test_exit_config_on_bad_env_threads(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("WPROC_THREADS", "many")
     assert run("synth", "--n", 5, "--d", 2, "--out", tmp_path / "x") == 3
+    assert "error: WPROC_THREADS='many' is not an integer" in capsys.readouterr().err
+    # A zero is refused under the variable's name too.  The inputs do not exist, so
+    # a check after loading would exit 6.
+    monkeypatch.setenv("WPROC_THREADS", "0")
+    assert run("init", tmp_path / "none.src.vec", tmp_path / "none.tgt.vec",
+               "--out", tmp_path / "o") == 3
+    err = capsys.readouterr().err
+    assert "error: WPROC_THREADS must be at least 1, got 0" in err
+    assert "--threads" not in err
 
 
 def test_exit_config_on_supervised_loss_csv(inst, tmp_path, capsys):
@@ -581,14 +604,19 @@ def test_exit_config_on_bad_count_or_list_flag(inst, tmp_path, argv):
 @pytest.mark.parametrize("argv, flag", [
     pytest.param(("init", "--fw-iters", 0), "--fw-iters", id="init-fw-iters"),
     pytest.param(("init", "--fw-gap-tol", 0), "--fw-gap-tol", id="init-fw-gap-tol"),
+    pytest.param(("init", "--fw-gap-tol", "inf"), "--fw-gap-tol",
+                 id="init-fw-gap-tol-inf"),
     pytest.param(("init", "--fw-size", 0), "--fw-size", id="init-fw-size"),
     pytest.param(("align", "--iters", 0), "--iters", id="align-iters"),
     pytest.param(("align", "--batch-size", 1), "--batch-size", id="align-batch-size"),
     pytest.param(("align", "--fw-iters", 0), "--fw-iters", id="align-convex-fw-iters"),
     pytest.param(("align", "--lr", 0), "--lr", id="align-lr"),
     pytest.param(("align", "--lr", "nan"), "--lr", id="align-lr-nan"),
+    pytest.param(("align", "--lr", "inf"), "--lr", id="align-lr-inf"),
     pytest.param(("align", "--sinkhorn-eps", 0), "--sinkhorn-eps",
                  id="align-sinkhorn-eps"),
+    pytest.param(("align", "--matcher", "sinkhorn", "--sinkhorn-eps", "inf"),
+                 "--sinkhorn-eps", id="align-sinkhorn-eps-inf"),
     pytest.param(("align", "--sample-pool", 1), "--sample-pool", id="align-sample-pool"),
     pytest.param(("align", "--supervised", "lex", "--max-vocab", 0), "--max-vocab",
                  id="align-supervised-max-vocab"),
@@ -607,12 +635,16 @@ def test_exit_config_on_bad_count_or_list_flag(inst, tmp_path, argv):
                  id="translate-isf-beta"),
     pytest.param(("translate", "--map", "m", "--isf-beta", "nan"), "--isf-beta",
                  id="translate-isf-beta-nan"),
+    pytest.param(("translate", "--map", "m", "--isf-beta", "inf"), "--isf-beta",
+                 id="translate-isf-beta-inf"),
     pytest.param(("eval", "--map", "m", "--lexicon", "l", "--candidate-cap", 0),
                  "--candidate-cap", id="eval-candidate-cap"),
     pytest.param(("eval", "--map", "m", "--lexicon", "l", "--ks", "0,5"), "--ks",
                  id="eval-ks"),
     pytest.param(("eval", "--map", "m", "--lexicon", "l", "--isf-beta", 0), "--isf-beta",
                  id="eval-isf-beta"),
+    pytest.param(("eval", "--map", "m", "--lexicon", "l", "--retrieval", "isf",
+                  "--isf-beta", "inf"), "--isf-beta", id="eval-isf-beta-inf"),
 ])
 def test_bad_fw_or_align_flag_fails_before_the_inputs_load(tmp_path, capsys, argv,
                                                           flag):
@@ -626,6 +658,21 @@ def test_bad_fw_or_align_flag_fails_before_the_inputs_load(tmp_path, capsys, arg
     err = capsys.readouterr().err
     assert f"error: {flag} " in err or f"error: {flag}:" in err
     assert not out.exists()
+
+
+def test_every_bounded_flag_is_an_option_of_some_subcommand():
+    # _check_flags skips a flag whose attribute is missing, so a renamed
+    # flag would otherwise lose its bound without a failure.
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    dests = {}
+    for sub in subparsers.choices.values():
+        for option, action in sub._option_string_actions.items():
+            dests[option] = action.dest
+    for flag in _FLAG_BOUNDS:
+        assert flag in dests, f"{flag} is no subcommand's option"
+        assert dests[flag] == flag[2:].replace("-", "_"), flag
 
 
 @pytest.mark.parametrize("flags", [

@@ -18,7 +18,8 @@ SUBMODULES = [import_module(f"wproc.{m.name}")
 REMOVED = ("cosine_scores", "csls_scores", "isf_scores", "estimate_objective",
            "plan_to_matching", "transport_cost", "residual", "SinkhornConfig",
            "default_refine_config", "fw_objective", "fw_gradient", "FwConfig",
-           "SeedDictionary", "AlignmentConfig", "SvdResult", "svd")
+           "SeedDictionary", "AlignmentConfig", "SvdResult", "svd",
+           "PreprocessSpec", "STEP_UNIT_NORM", "STEP_CENTER", "ConfigError")
 
 
 def test_every_submodule_all_name_exists():

@@ -4,39 +4,37 @@ import numpy as np
 import pytest
 
 from wproc.errors import InvalidArgumentError, InvalidInputError
-from wproc.preprocess import (
-    STEP_CENTER,
-    STEP_UNIT_NORM,
-    PreprocessSpec,
-    preprocess,
-)
+from wproc.preprocess import preprocess
 
 
 def test_parse_aliases_and_order():
-    spec = PreprocessSpec.parse("norm, center ,unit_norm")
-    assert spec.steps == (STEP_UNIT_NORM, STEP_CENTER, STEP_UNIT_NORM)
+    x = np.random.default_rng(3).standard_normal((20, 5)) + 1.0
+    assert np.array_equal(preprocess(x, "norm, center ,unit_norm"),
+                          preprocess(x, "norm,center,norm"))
+    assert np.array_equal(preprocess(x, "Unit-Norm,,CENTRE"),
+                          preprocess(x, "norm,center"))
 
 
 def test_parse_rejects_unknown_and_empty():
-    with pytest.raises(InvalidArgumentError):
-        PreprocessSpec.parse("norm,scale")
-    with pytest.raises(InvalidArgumentError):
-        PreprocessSpec.parse(" , ")
-    with pytest.raises(InvalidArgumentError):
-        PreprocessSpec(steps=())
+    x = np.ones((2, 2))
+    with pytest.raises(InvalidArgumentError, match="unknown preprocessing step 'scale'"):
+        preprocess(x, "norm,scale")
+    with pytest.raises(InvalidArgumentError, match="empty preprocessing spec"):
+        preprocess(x, " , ")
+    with pytest.raises(InvalidArgumentError, match="empty preprocessing spec"):
+        preprocess(x, "")
 
 
 def test_default_is_norm_center_norm():
-    assert PreprocessSpec.default().steps == (
-        STEP_UNIT_NORM,
-        STEP_CENTER,
-        STEP_UNIT_NORM,
-    )
+    x = np.random.default_rng(4).standard_normal((15, 4)) + 3.0
+    assert np.array_equal(preprocess(x), preprocess(x, "norm,center,norm"))
+    for fewer in ("center,norm", "norm,center", "norm,norm"):
+        assert not np.allclose(preprocess(x), preprocess(x, fewer))
 
 
 def test_unit_norm_rows():
     x = np.array([[3.0, 4.0], [0.5, 0.0]])
-    out = preprocess(x, PreprocessSpec((STEP_UNIT_NORM,)))
+    out = preprocess(x, "norm")
     assert np.allclose(np.linalg.norm(out, axis=1), 1.0)
     assert np.allclose(out[0], [0.6, 0.8])
 
@@ -44,7 +42,7 @@ def test_unit_norm_rows():
 def test_center_removes_mean():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((30, 4)) + 7.0
-    out = preprocess(x, PreprocessSpec((STEP_CENTER,)))
+    out = preprocess(x, "center")
     assert np.allclose(out.mean(axis=0), 0.0, atol=1e-12)
 
 
@@ -62,10 +60,10 @@ def test_default_pipeline_composition():
 def test_zero_row_error_names_label():
     x = np.array([[1.0, 0.0], [0.0, 0.0]])
     with pytest.raises(InvalidInputError) as err:
-        preprocess(x, PreprocessSpec((STEP_UNIT_NORM,)), labels=["alpha", "beta"])
+        preprocess(x, "norm", labels=["alpha", "beta"])
     assert "beta" in str(err.value)
     with pytest.raises(InvalidInputError) as err:
-        preprocess(x, PreprocessSpec((STEP_UNIT_NORM,)))
+        preprocess(x, "norm")
     assert "row 1" in str(err.value)
 
 

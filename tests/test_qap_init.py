@@ -153,8 +153,9 @@ def test_fw_solve_validates_its_settings():
     g = build_grams(np.eye(3), np.eye(3), 3)
     with pytest.raises(InvalidArgumentError, match="max_iters"):
         fw_solve(g, max_iters=0)
-    with pytest.raises(InvalidArgumentError, match="gap_tol"):
-        fw_solve(g, gap_tol=-1.0)
+    for tol in (-1.0, np.inf):
+        with pytest.raises(InvalidArgumentError, match="gap_tol"):
+            fw_solve(g, gap_tol=tol)
 
 
 def test_vertices_minimize_the_raw_gradient(monkeypatch):

@@ -347,8 +347,8 @@ def test_config_validation():
         RetrievalConfig(kind="dot")
     with pytest.raises(InvalidArgumentError):
         RetrievalConfig(csls_k=0)
-    for beta in (0.0, -1.0):
-        with pytest.raises(InvalidArgumentError):
+    for beta in (0.0, -1.0, np.inf):
+        with pytest.raises(InvalidArgumentError, match="isf_beta must be finite"):
             RetrievalConfig(isf_beta=beta)
     with pytest.raises(InvalidArgumentError):
         RetrievalConfig(candidate_cap=0)

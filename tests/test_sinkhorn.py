@@ -19,8 +19,9 @@ def random_cost(rng, b, scale=10.0):
 
 
 def test_config_validation():
-    with pytest.raises(InvalidArgumentError):
-        sinkhorn_plan(np.ones((2, 2)), epsilon=0.0)
+    for eps in (0.0, np.inf):
+        with pytest.raises(InvalidArgumentError, match="finite and positive"):
+            sinkhorn_plan(np.ones((2, 2)), epsilon=eps)
 
 
 def test_plan_validation():
